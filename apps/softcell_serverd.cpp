@@ -85,14 +85,13 @@ int main(int argc, char** argv) {
 
   const CellularTopology topo = config.make_topology();
   std::vector<ClauseId> clauses;
-  BrainBundle bundle(topo,
-                     make_wire_policy(topo, config.num_clauses, &clauses),
-                     config.shards);
-  provision_wire_ues(bundle.brain(), config, topo.num_base_stations());
+  ShardBrain brain(topo, make_wire_policy(topo, config.num_clauses, &clauses),
+                   {.shards = config.shards, .controller = {}});
+  provision_wire_ues(brain, config, topo.num_base_stations());
 
   ControlPlaneRuntime runtime(
-      bundle.brain(), {.workers = config.workers, .queue_capacity = 8192});
-  net::RuntimeDispatcher dispatcher(runtime, bundle.brain());
+      brain, {.workers = config.workers, .queue_capacity = 8192});
+  net::RuntimeDispatcher dispatcher(runtime, brain);
 
   net::EventLoop loop;
   if (!loop.ok()) {

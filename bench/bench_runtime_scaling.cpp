@@ -7,7 +7,7 @@
 // requests per second plus the pipeline's own latency percentiles, and
 // write the numbers to BENCH_runtime.json (or argv[1]).
 //
-// Determinism cross-check: the final sharded-controller fingerprint must be
+// Determinism cross-check: the final canonical brain fingerprint must be
 // identical at every worker count (per-shard FIFO guarantee); the bench
 // aborts if a run disagrees with the 1-worker reference.
 #include <cstdio>
@@ -36,14 +36,15 @@ int main(int argc, char** argv) {
   std::printf("  --------+--------------+-----------+-----------+-----------+"
               "----------\n");
 
-  CellularTopology topo({.k = 4, .seed = 1});
-  RuntimeBenchConfig config;
-  config.requests = 200'000;
+  // The wire workload in the Cbench shape: one stream per emulated agent.
+  WireWorkloadConfig config;
+  config.connections = 64;
+  config.path_request_ratio = 0.02;
   // SOFTCELL_SMOKE=1: tiny request count so `ctest -L perf` exercises the
   // pipeline end to end (incl. the determinism cross-check) in seconds.
   const char* smoke_env = std::getenv("SOFTCELL_SMOKE");
   const bool smoke = smoke_env != nullptr && std::strcmp(smoke_env, "0") != 0;
-  if (smoke) config.requests = 5'000;
+  config.requests_per_conn = (smoke ? 5'000 : 200'000) / config.connections;
   std::vector<unsigned> worker_sweep{1u, 2u, 4u, 8u};
   if (smoke) worker_sweep = {1u, 2u};
 
@@ -68,7 +69,7 @@ int main(int argc, char** argv) {
   MetricsSnapshot last_metrics;  // snapshot of the widest run, exported below
   for (const unsigned workers : worker_sweep) {
     config.workers = workers;
-    const auto r = bench_runtime_pipeline(topo, config);
+    const auto r = bench_runtime_pipeline(config);
     last_metrics = r.metrics;
     Row row;
     row.workers = workers;
@@ -121,7 +122,7 @@ int main(int argc, char** argv) {
   report.meta_bool("valid_scaling", valid_scaling);
   report.meta_bool("smoke", smoke);
   report.meta_u64("shards", config.shards);
-  report.meta_u64("requests", config.requests);
+  report.meta_u64("requests", config.requests_per_conn * config.connections);
   report.meta_num("path_request_ratio", config.path_request_ratio, 3);
   char fp[17];
   std::snprintf(fp, sizeof fp, "%016llx",

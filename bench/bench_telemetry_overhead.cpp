@@ -102,11 +102,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(iters));
 
   // 2. real request cost through the sharded pipeline.
-  CellularTopology topo({.k = 4, .seed = 1});
-  RuntimeBenchConfig config;
-  config.workers = 2;
-  config.requests = smoke ? 5'000 : 100'000;
-  const auto pipeline = bench_runtime_pipeline(topo, config);
+  WireWorkloadConfig config;
+  config.connections = 64;
+  config.path_request_ratio = 0.02;
+  config.requests_per_conn = (smoke ? 5'000 : 100'000) / config.connections;
+  const auto pipeline = bench_runtime_pipeline(config);
   const double request_ns =
       pipeline.total.per_second() > 0 ? 1e9 / pipeline.total.per_second() : 0;
   std::printf("  pipeline: %.0f requests/s (%.0f ns/request)\n",

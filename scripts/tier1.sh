@@ -15,8 +15,8 @@
 #      the tree compiles with spans erased) plus the disarmed-overhead
 #      smoke bench with its JSON output validated
 #   5b. scale -- the million-UE bench under SOFTCELL_SMOKE=1: its built-in
-#      cross-layout fingerprint check (slab vs SOFTCELL_SLAB=0 node maps)
-#      is the exit code, and the JSON envelope is validated
+#      check against the pinned golden fingerprint is the exit code, and
+#      the JSON envelope is validated
 #   5c. net -- the TCP serving front end end-to-end: softcell-serverd is
 #      started as a real separate process (--port 0 + --port-file for
 #      race-free discovery), the wire cbench drives it over loopback with
@@ -181,13 +181,13 @@ run_stage "telemetry (overhead smoke)" bash -c \
    python3 -c "import json,sys; d=json.load(open(\"build/bench/SMOKE_telemetry.json\")); sys.exit(0 if d[\"schema\"]==\"softcell-bench-1\" and d[\"results\"][0][\"within_budget\"] else 1)"'
 
 # --- scale stage -------------------------------------------------------------
-# The million-UE bench's smoke shape: both storage layouts replayed, the
-# cross-layout state fingerprints compared (a mismatch is a nonzero exit),
-# and the softcell-bench-1 envelope checked for the target verdict fields.
-run_stage "scale (smoke, cross-layout)" bash -c \
+# The million-UE bench's smoke shape: the churned day replayed, its control
+# fingerprint compared with the pinned golden (a mismatch is a nonzero
+# exit), and the softcell-bench-1 envelope checked for the verdict fields.
+run_stage "scale (smoke, golden fingerprint)" bash -c \
   'SOFTCELL_SMOKE=1 ./build/bench/bench_million_ue \
      build/bench/SMOKE_scale.json &&
-   python3 -c "import json,sys; d=json.load(open(\"build/bench/SMOKE_scale.json\")); sys.exit(0 if d[\"schema\"]==\"softcell-bench-1\" and d[\"meta\"][\"fingerprints_match\"] and d[\"meta\"][\"ctrl_bytes_target_met\"] else 1)"'
+   python3 -c "import json,sys; d=json.load(open(\"build/bench/SMOKE_scale.json\")); sys.exit(0 if d[\"schema\"]==\"softcell-bench-1\" and d[\"meta\"][\"fingerprint_matches_golden\"] and d[\"meta\"][\"ctrl_bytes_target_met\"] else 1)"'
 
 # --- net stage ---------------------------------------------------------------
 # The serving front end across a real process boundary.  serverd and the

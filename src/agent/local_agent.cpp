@@ -14,8 +14,7 @@ LocalAgent::LocalAgent(std::uint32_t bs_index, AddressPlan plan,
       plan_(plan),
       codec_(codec),
       controller_(&controller),
-      access_(&access),
-      slab_(mem::slab_enabled()) {}
+      access_(&access) {}
 
 LocalUeId LocalAgent::alloc_local_id() {
   const auto limit = plan_.max_ues_per_bs();
@@ -36,7 +35,6 @@ Ipv4Addr LocalAgent::ue_arrive(UeId ue, Ipv4Addr permanent_ip) {
   UeState st;
   st.local = alloc_local_id();
   st.permanent_ip = permanent_ip;
-  if (!slab_) st.slots = std::make_unique<NodeSlots>();
   controller_->attach_ue(ue, bs_index_, st.local);
   st.classifiers = controller_->fetch_classifiers(ue, bs_index_);
   const Ipv4Addr locip = plan_.encode(bs_index_, st.local);
@@ -59,20 +57,13 @@ void LocalAgent::release_flow_records(UeState& st) {
 void LocalAgent::ue_depart(UeId ue) {
   UeState* st = ues_.find(ue);
   if (st == nullptr) throw std::invalid_argument("ue_depart: not attached");
-  if (slab_) {
-    for (mem::Handle h = st->flow_head; h;) {
-      const FlowRec* rec = flow_slab_.get(h);
-      access_->flows().remove(rec->key);
-      access_->flows().remove(rec->entry.down_key);
-      h = rec->next;
-    }
-    release_flow_records(*st);
-  } else {
-    for (const auto& [flow, entry] : *st->slots) {
-      access_->flows().remove(flow);
-      access_->flows().remove(entry.down_key);
-    }
+  for (mem::Handle h = st->flow_head; h;) {
+    const FlowRec* rec = flow_slab_.get(h);
+    access_->flows().remove(rec->key);
+    access_->flows().remove(rec->entry.down_key);
+    h = rec->next;
   }
+  release_flow_records(*st);
   used_ids_.erase(st->local);
   controller_->detach_ue(ue);
   ues_.erase(ue);
@@ -100,20 +91,14 @@ std::vector<LocalAgent::ActiveFlow> LocalAgent::active_flows(UeId ue) const {
   std::vector<ActiveFlow> out;
   const UeState* st = ues_.find(ue);
   if (st == nullptr) return out;
-  if (slab_) {
-    out.reserve(st->flow_count);
-    for (mem::Handle h = st->flow_head; h;) {
-      const FlowRec* rec = flow_slab_.get(h);
-      out.push_back(ActiveFlow{rec->key, rec->entry.tag, rec->entry.clause});
-      h = rec->next;
-    }
-  } else {
-    out.reserve(st->slots->size());
-    for (const auto& [key, entry] : *st->slots)
-      out.push_back(ActiveFlow{key, entry.tag, entry.clause});
+  out.reserve(st->flow_count);
+  for (mem::Handle h = st->flow_head; h;) {
+    const FlowRec* rec = flow_slab_.get(h);
+    out.push_back(ActiveFlow{rec->key, rec->entry.tag, rec->entry.clause});
+    h = rec->next;
   }
   // Canonical order: downstream consumers (mobility shortcut pairing) are
-  // first-wins per tag, so both storage layouts must agree.
+  // first-wins per tag, so the order must not depend on the record list.
   std::sort(out.begin(), out.end(),
             [](const ActiveFlow& a, const ActiveFlow& b) {
               return a.key < b.key;
@@ -134,27 +119,17 @@ const PacketClassifier* LocalAgent::classify(const UeState& st,
 void LocalAgent::install_microflow(UeState& st, const FlowKey& flow,
                                    PolicyTag tag, ClauseId clause) {
   const Ipv4Addr locip = plan_.encode(bs_index_, st.local);
-  FlowEntry* entry;
-  if (slab_) {
-    const auto [it, fresh] = flow_index_.try_emplace(flow);
-    if (fresh) {
-      const mem::Handle h = flow_slab_.emplace(
-          FlowRec{flow, FlowEntry{st.next_slot, {}, {}, {}}, st.flow_head});
-      it->second = h;
-      st.flow_head = h;
-      ++st.flow_count;
-      st.next_slot = static_cast<std::uint16_t>(
-          (st.next_slot + 1) % codec_.max_flows_per_ue());
-    }
-    entry = &flow_slab_.get(it->second)->entry;
-  } else {
-    const auto [sit, fresh] =
-        st.slots->try_emplace(flow, FlowEntry{st.next_slot, {}, {}, {}});
-    if (fresh)
-      st.next_slot = static_cast<std::uint16_t>(
-          (st.next_slot + 1) % codec_.max_flows_per_ue());
-    entry = &sit->second;
+  const auto [it, fresh] = flow_index_.try_emplace(flow);
+  if (fresh) {
+    const mem::Handle h = flow_slab_.emplace(
+        FlowRec{flow, FlowEntry{st.next_slot, {}, {}, {}}, st.flow_head});
+    it->second = h;
+    st.flow_head = h;
+    ++st.flow_count;
+    st.next_slot = static_cast<std::uint16_t>(
+        (st.next_slot + 1) % codec_.max_flows_per_ue());
   }
+  FlowEntry* entry = &flow_slab_.get(it->second)->entry;
   const std::uint16_t port = codec_.encode(tag, entry->slot);
 
   // Uplink: permanent 5-tuple -> LocIP + tagged port, toward the fabric.
@@ -227,7 +202,6 @@ Ipv4Addr LocalAgent::ue_handoff_in(UeId ue, Ipv4Addr permanent_ip,
   UeState st;
   st.local = alloc_local_id();
   st.permanent_ip = permanent_ip;
-  if (!slab_) st.slots = std::make_unique<NodeSlots>();
   controller_->update_location(ue, bs_index_, st.local);
   st.classifiers = controller_->fetch_classifiers(ue, bs_index_);
 
@@ -272,8 +246,8 @@ void LocalAgent::ue_handoff_out(UeId ue) {
   quarantine_.insert(st->local);
   used_ids_.erase(st->local);
   // The microflow rules moved with the UE; only the agent-side flow records
-  // die here (the node layout frees them with the UeState itself).
-  if (slab_) release_flow_records(*st);
+  // die here.
+  release_flow_records(*st);
   ues_.erase(ue);
 }
 
@@ -301,8 +275,7 @@ void LocalAgent::restart() {
     UeState st;
     st.local = loc->local;
     st.permanent_ip = permanent_ip;
-    if (!slab_) st.slots = std::make_unique<NodeSlots>();
-    st.classifiers = controller_->fetch_classifiers(ue, bs_index_);
+      st.classifiers = controller_->fetch_classifiers(ue, bs_index_);
     const Ipv4Addr locip = plan_.encode(bs_index_, st.local);
     std::uint16_t max_slot = 0;
     for (const auto& [key, action] : access_->flows().rules()) {
@@ -320,15 +293,11 @@ void LocalAgent::restart() {
       ClauseId clause{};
       for (const auto& cl : st.classifiers)
         if (cl.tag == tag) clause = cl.clause;
-      if (slab_) {
-        const mem::Handle h = flow_slab_.emplace(
-            FlowRec{key, FlowEntry{slot, down, tag, clause}, st.flow_head});
-        flow_index_[key] = h;
-        st.flow_head = h;
-        ++st.flow_count;
-      } else {
-        (*st.slots)[key] = FlowEntry{slot, down, tag, clause};
-      }
+      const mem::Handle h = flow_slab_.emplace(
+          FlowRec{key, FlowEntry{slot, down, tag, clause}, st.flow_head});
+      flow_index_[key] = h;
+      st.flow_head = h;
+      ++st.flow_count;
       max_slot = std::max<std::uint16_t>(max_slot,
                                          static_cast<std::uint16_t>(slot + 1));
     }
@@ -349,11 +318,6 @@ std::size_t LocalAgent::bytes_resident() const {
                       flow_index_.size() * (sizeof(FlowKey) + sizeof(mem::Handle));
   ues_.for_each([&](const UeId&, const UeState& st) {
     total += st.classifiers.capacity() * sizeof(PacketClassifier);
-    if (st.slots)
-      total += sizeof(NodeSlots) +
-               st.slots->size() *
-                   (sizeof(std::pair<const FlowKey, FlowEntry>) +
-                    2 * sizeof(void*));
   });
   return total;
 }

@@ -14,20 +14,16 @@
 // only the controller writes it -- so agent failure is recovered by a
 // restart that refetches everything (section 5.2).
 //
-// Storage layout (ROADMAP item 2): UE records live in a mem::SlabMap and
-// per-UE flow slots in one agent-wide mem::Slab threaded into per-UE
-// intrusive lists -- two contiguous arenas instead of a node map of node
-// maps.  SOFTCELL_SLAB=0 restores the legacy per-UE std::unordered_map
-// layout (behind a unique_ptr, so the slab layout does not carry the empty
-// map); digest-sensitive walks (active_flows) are canonically sorted so
-// both layouts are observationally bit-identical.
+// Storage layout (DESIGN.md section 15): UE records live in a
+// mem::SlabMap and per-UE flow slots in one agent-wide mem::Slab threaded
+// into per-UE intrusive lists -- two contiguous arenas instead of a node
+// map of node maps.  Digest-sensitive walks (active_flows) are canonically
+// sorted, so no observable depends on slab slot order.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
-#include <unordered_map>  // sc-lint: slab-owner(LocalAgent legacy layout)
 #include <vector>
 
 #include "agent/access_switch.hpp"
@@ -60,7 +56,7 @@ class LocalAgent {
   // Active flows of a UE with the tag/clause each was classified to (used
   // by the mobility manager to set up per-flow shortcuts).  Sorted by flow
   // key: the shortcut pass pairs each distinct tag with the first flow it
-  // sees, so the order must not depend on the storage layout.
+  // sees, so the order must not depend on slab slot reuse.
   struct ActiveFlow {
     FlowKey key;
     PolicyTag tag{};
@@ -141,9 +137,7 @@ class LocalAgent {
     PolicyTag tag{};
     ClauseId clause{};
   };
-  // Legacy node layout: per-UE map, heap-allocated only when in use.
-  using NodeSlots = std::unordered_map<FlowKey, FlowEntry>;
-  // Slab layout: one record in the agent-wide flow slab, linked per UE.
+  // One record in the agent-wide flow slab, linked per UE.
   struct FlowRec {
     FlowKey key;  // uplink key (needed to unlink from flow_index_)
     FlowEntry entry;
@@ -155,17 +149,15 @@ class LocalAgent {
     Ipv4Addr permanent_ip = 0;
     std::vector<PacketClassifier> classifiers;
     std::uint16_t next_slot = 0;
-    std::unique_ptr<NodeSlots> slots;  // node layout only
-    mem::Handle flow_head;             // slab layout only
-    std::uint32_t flow_count = 0;      // slab layout only
+    mem::Handle flow_head;  // newest flow record of this UE
+    std::uint32_t flow_count = 0;
   };
 
   LocalUeId alloc_local_id();
   const PacketClassifier* classify(const UeState& st, AppType app) const;
   void install_microflow(UeState& st, const FlowKey& flow, PolicyTag tag,
                          ClauseId clause);
-  // Frees a departing UE's slab flow records (slab layout; no-op otherwise).
-  // Does NOT touch the access switch.
+  // Frees a departing UE's flow records.  Does NOT touch the access switch.
   void release_flow_records(UeState& st);
 
   std::uint32_t bs_index_;
@@ -175,10 +167,9 @@ class LocalAgent {
   AccessSwitch* access_;
   PathRequester path_requester_;
 
-  bool slab_;  // layout captured at construction (mem::slab_enabled())
   mem::SlabMap<UeId, UeState> ues_;
-  mem::Slab<FlowRec> flow_slab_;                 // slab layout
-  FlatMap<FlowKey, mem::Handle> flow_index_;     // slab layout
+  mem::Slab<FlowRec> flow_slab_;
+  FlatMap<FlowKey, mem::Handle> flow_index_;  // uplink key -> flow record
   FlatSet<LocalUeId> used_ids_;
   FlatSet<LocalUeId> quarantine_;
   std::uint16_t next_id_ = 0;

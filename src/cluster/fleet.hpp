@@ -289,7 +289,7 @@ class ControllerFleet final : public ControlPlane {
   LocationQuery query_ SC_GUARDED_BY(mu_);
   mutable FleetStats stats_ SC_GUARDED_BY(mu_);
   // RAII metric registration; declared last so the collector dies before
-  // anything it reads (see runtime/sharded_controller.hpp for the idiom).
+  // anything it reads (see runtime/shard_brain.hpp for the idiom).
   telemetry::Registry::CollectorHandle collector_;
 };
 

@@ -451,7 +451,7 @@ std::uint64_t Controller::state_fingerprint(std::uint64_t fold_store_writes,
 
   // Store + lifecycle counters.  The fold-ins account for writes that the
   // shard-brain partition routed to per-shard stores instead of this one
-  // (zero for the legacy single-brain controller).
+  // (zero for a standalone controller).
   f.mix(store_.version() + fold_store_writes);
   f.mix(store_.attached_ues() + fold_attached);
   f.mix(draining_.size());

@@ -69,7 +69,8 @@ class Controller : public ControlPlane {
  public:
   Controller(const CellularTopology& topo, ServicePolicy policy,
              ControllerOptions options = {});
-  // Shards of a ShardedController share one immutable policy snapshot.
+  // Shares one immutable policy snapshot with its peers (the ShardBrain
+  // core and its shard engines, the fleet replicas).
   Controller(const CellularTopology& topo,
              std::shared_ptr<const ServicePolicy> policy,
              ControllerOptions options = {});
@@ -239,9 +240,9 @@ class Controller : public ControlPlane {
   // The fold-in parameters exist for the shard-brain partition (DESIGN.md
   // section 16): there the per-UE store writes and attachments live on the
   // ShardEngines' stores, not this controller's, so the brain passes their
-  // sums and the fingerprint comes out bit-identical to the legacy
-  // single-brain run (whose one store saw every write).  Default arguments
-  // keep the legacy meaning for every existing caller.
+  // sums and the fingerprint comes out bit-identical to a standalone
+  // Controller run (whose one store saw every write).  The zero defaults
+  // are that standalone meaning.
   [[nodiscard]] std::uint64_t state_fingerprint(
       std::uint64_t fold_store_writes = 0,
       std::uint64_t fold_attached = 0) const SC_EXCLUDES(mu_);

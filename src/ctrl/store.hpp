@@ -12,8 +12,7 @@
 // Storage layout: per-UE and per-path records live in mem::SlabMap --
 // contiguous slab storage keyed through a flat index, one heap node and one
 // pointer chase cheaper per subscriber than the node-based maps it replaced
-// (ROADMAP item 2; SOFTCELL_SLAB=0 restores the legacy layout for
-// differential fingerprint comparison).
+// (DESIGN.md section 15).
 //
 // Thread safety: ControlStore is NOT internally synchronized.  It is owned
 // by exactly one Controller (one shard of the runtime) and every access

@@ -221,24 +221,4 @@ class Slab {
   std::size_t live_ = 0;
 };
 
-// Process-wide layout switch, mirroring the SOFTCELL_FASTPATH hatch from the
-// aggregation engine: SOFTCELL_SLAB=0 keeps every SlabMap on the legacy
-// node-based std::unordered_map layout so the whole suite can be rerun
-// against it (ctest -L slab) without a rebuild.  Read once, at first use.
-[[nodiscard]] bool slab_enabled();
-
-// Test-only override of the layout flag (differential digests build the
-// same scenario under both layouts in one process).  Construction-time
-// only, single-threaded: never flip this while simulators are live.
-class ScopedSlabLayout {
- public:
-  explicit ScopedSlabLayout(bool enabled);
-  ~ScopedSlabLayout();
-  ScopedSlabLayout(const ScopedSlabLayout&) = delete;
-  ScopedSlabLayout& operator=(const ScopedSlabLayout&) = delete;
-
- private:
-  bool previous_;
-};
-
 }  // namespace softcell::mem

@@ -32,9 +32,7 @@ std::uint64_t classifier_digest(
   return sum;
 }
 
-void RuntimeDispatcher::dispatch(
-    const ofp::PacketInMsg& msg,
-    std::function<void(ofp::PacketInReply&&)> done) {
+Request to_request(const ofp::PacketInMsg& msg) {
   Request request;
   request.ue = msg.ue;
   request.bs = msg.bs;
@@ -47,6 +45,13 @@ void RuntimeDispatcher::dispatch(
       request.clause = msg.clause;
       break;
   }
+  return request;
+}
+
+void RuntimeDispatcher::dispatch(
+    const ofp::PacketInMsg& msg,
+    std::function<void(ofp::PacketInReply&&)> done) {
+  Request request = to_request(msg);
   const std::uint32_t xid = msg.xid;
   const auto kind = msg.kind;
   // `on_done` stays alive across post() so the shutdown-refusal path can

@@ -47,6 +47,9 @@ class Dispatcher {
 [[nodiscard]] std::uint64_t classifier_digest(
     std::span<const PacketClassifier> classifiers);
 
+// The runtime Request a packet-in asks for, without a completion.
+[[nodiscard]] Request to_request(const ofp::PacketInMsg& msg);
+
 // The production Dispatcher: packet-ins become runtime Requests routed
 // through the shard pipeline; replies are built from the runtime Response
 // on the worker thread.

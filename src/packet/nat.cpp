@@ -3,74 +3,44 @@
 namespace softcell {
 
 PublicEndpoint FlowNat::translate_outbound(const FlowKey& internal) {
-  if (slab_) {
-    if (const auto it = out_idx_.find(internal); it != out_idx_.end())
-      return flows_.get(it->second)->pub;
-  } else {
-    if (auto it = out_.find(internal); it != out_.end()) return it->second;
-  }
+  if (const auto it = out_idx_.find(internal); it != out_idx_.end())
+    return flows_.get(it->second)->pub;
   // Draw random endpoints until an unused one is found.  The pool has at
   // least 4 addresses x 64k ports, and carriers size pools far above the
-  // concurrent flow count, so the expected number of draws is ~1.  The
-  // collision check is content-based, so both layouts draw identically.
+  // concurrent flow count, so the expected number of draws is ~1.
   const std::uint32_t host_space = 1u << (32 - pool_.len());
   for (;;) {
     PublicEndpoint e{
         pool_.addr() | static_cast<Ipv4Addr>(rng_.next_below(host_space)),
         static_cast<std::uint16_t>(rng_.next_in(1024, 65535))};
-    if (slab_) {
-      auto [it, inserted] = in_idx_.try_emplace(e);
-      if (!inserted) continue;
-      const mem::Handle h = flows_.emplace(NatEntry{internal, e});
-      it->second = h;
-      out_idx_[internal] = h;
-    } else {
-      auto [it, inserted] = in_.try_emplace(e, internal);
-      if (!inserted) continue;
-      out_.emplace(internal, e);
-    }
+    auto [it, inserted] = in_idx_.try_emplace(e);
+    if (!inserted) continue;
+    const mem::Handle h = flows_.emplace(NatEntry{internal, e});
+    it->second = h;
+    out_idx_[internal] = h;
     return e;
   }
 }
 
 std::optional<FlowKey> FlowNat::translate_inbound(PublicEndpoint pub) const {
-  if (slab_) {
-    if (const auto it = in_idx_.find(pub); it != in_idx_.end())
-      return flows_.get(it->second)->internal;
-    return std::nullopt;
-  }
-  if (auto it = in_.find(pub); it != in_.end()) return it->second;
+  if (const auto it = in_idx_.find(pub); it != in_idx_.end())
+    return flows_.get(it->second)->internal;
   return std::nullopt;
 }
 
 void FlowNat::release(const FlowKey& internal) {
-  if (slab_) {
-    const auto it = out_idx_.find(internal);
-    if (it == out_idx_.end()) return;
-    const mem::Handle h = it->second;
-    in_idx_.erase(flows_.get(h)->pub);
-    out_idx_.erase(internal);
-    flows_.erase(h);
-    return;
-  }
-  if (auto it = out_.find(internal); it != out_.end()) {
-    in_.erase(it->second);
-    out_.erase(it);
-  }
+  const auto it = out_idx_.find(internal);
+  if (it == out_idx_.end()) return;
+  const mem::Handle h = it->second;
+  in_idx_.erase(flows_.get(h)->pub);
+  out_idx_.erase(internal);
+  flows_.erase(h);
 }
 
 std::size_t FlowNat::bytes_resident() const {
-  if (slab_) {
-    return flows_.bytes_resident() +
-           out_idx_.size() * (sizeof(FlowKey) + sizeof(mem::Handle)) +
-           in_idx_.size() * (sizeof(PublicEndpoint) + sizeof(mem::Handle));
-  }
-  const std::size_t fwd =
-      sizeof(std::pair<const FlowKey, PublicEndpoint>) + 2 * sizeof(void*);
-  const std::size_t rev =
-      sizeof(std::pair<const PublicEndpoint, FlowKey>) + 2 * sizeof(void*);
-  return out_.size() * fwd + in_.size() * rev +
-         (out_.bucket_count() + in_.bucket_count()) * sizeof(void*);
+  return flows_.bytes_resident() +
+         out_idx_.size() * (sizeof(FlowKey) + sizeof(mem::Handle)) +
+         in_idx_.size() * (sizeof(PublicEndpoint) + sizeof(mem::Handle));
 }
 
 }  // namespace softcell

@@ -8,9 +8,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <stdexcept>
-#include <unordered_map>  // sc-lint: slab-owner(FlowNat legacy layout)
 #include <vector>
 
 #include "mem/slab.hpp"
@@ -34,20 +34,19 @@ struct PublicEndpoint {
 // Outbound: (LocIP flow key) -> public endpoint (random, never reused while
 // the flow is live).  Inbound: public endpoint -> internal flow key.
 //
-// Storage (ROADMAP item 2): one slab record per live flow holds both the
-// internal key and the public endpoint; the forward and reverse indexes map
-// into it by handle, so the 16-byte FlowKey is resident once instead of
-// twice (the legacy twin-map layout stored it as a key on one side and a
-// value on the other).  SOFTCELL_SLAB=0 restores the twin unordered_maps.
-// Both layouts consume the rng in the same order, so translations are
-// bit-identical across layouts for a given seed and call sequence.
+// Storage (DESIGN.md section 15): one slab record per live flow holds both
+// the internal key and the public endpoint; the forward and reverse indexes
+// map into it by handle, so the 16-byte FlowKey is resident once instead of
+// twice (a twin-map layout would store it as a key on one side and a value
+// on the other).  Translations depend only on the seed and the call
+// sequence.
 class FlowNat {
  public:
   // `pool` is the carrier's public prefix for NATed traffic.  `seed`
   // randomizes endpoint selection (deliberately not derived from any UE or
   // location field).
   FlowNat(Prefix pool, std::uint64_t seed)
-      : pool_(pool), rng_(seed), slab_(mem::slab_enabled()) {
+      : pool_(pool), rng_(seed) {
     if (pool.len() > 30)
       throw std::invalid_argument("FlowNat: pool too small");
   }
@@ -63,9 +62,7 @@ class FlowNat {
   // Releases the mapping for a finished flow.
   void release(const FlowKey& internal);
 
-  [[nodiscard]] std::size_t active_flows() const {
-    return slab_ ? flows_.size() : out_.size();
-  }
+  [[nodiscard]] std::size_t active_flows() const { return flows_.size(); }
 
   // Resident footprint of the translation state (million-UE bench).
   [[nodiscard]] std::size_t bytes_resident() const;
@@ -77,7 +74,7 @@ class FlowNat {
           (static_cast<std::uint64_t>(e.ip) << 16) | e.port);
     }
   };
-  // Slab layout: both directions resolve to the same record.
+  // Both directions resolve to the same record.
   struct NatEntry {
     FlowKey internal;
     PublicEndpoint pub;
@@ -85,14 +82,9 @@ class FlowNat {
 
   Prefix pool_;
   Rng rng_;
-  bool slab_;  // layout captured at construction (mem::slab_enabled())
-  // Slab layout.
   mem::Slab<NatEntry> flows_;
   FlatMap<FlowKey, mem::Handle> out_idx_;
   FlatMap<PublicEndpoint, mem::Handle, EndpointHash> in_idx_;
-  // Legacy twin-map layout (SOFTCELL_SLAB=0).
-  std::unordered_map<FlowKey, PublicEndpoint> out_;
-  std::unordered_map<PublicEndpoint, FlowKey, EndpointHash> in_;
 };
 
 }  // namespace softcell

@@ -1,20 +1,17 @@
 // ControlBrain: the control-plane state partition the runtime pipeline
 // drives.
 //
-// Two implementations exist:
-//   * ShardedController (runtime/sharded_controller.hpp) -- N full
-//     Controllers, each owning a disjoint UE slice AND its own rule
-//     universe.  The legacy single-brain path: with shards = 1 every
-//     worker funnels into one Controller behind one shared_mutex.
-//   * ShardBrain (runtime/shard_brain.hpp) -- N ShardEngines (per-shard
-//     UE/classifier state) over ONE shared rule universe, with every
-//     cross-shard install serialized through the CoreCommitter's
-//     single-writer commit stage and published back to readers as RCU
-//     PathView snapshots.
+// The implementation is ShardBrain (runtime/shard_brain.hpp): N
+// ShardEngines (per-shard UE/classifier state) over ONE shared rule
+// universe, with every cross-shard install serialized through the
+// CoreCommitter's single-writer commit stage and published back to readers
+// as RCU PathView snapshots.  The interface stays virtual so a caller can
+// wrap the brain -- a decorator that times or traces every call -- without
+// the pipeline knowing.
 //
-// The pipeline (ControlPlaneRuntime) is agnostic: it routes by
-// shard_of(ue), executes on the worker owning that shard, and records
-// per-shard metrics through this interface.
+// The pipeline (ControlPlaneRuntime) routes by shard_of(ue), executes on
+// the worker owning that shard, and records per-shard metrics through this
+// interface.
 #pragma once
 
 #include <cstdint>

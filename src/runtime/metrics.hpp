@@ -68,10 +68,9 @@ struct MetricsSnapshot {
   std::uint64_t errors = 0;
   std::array<std::uint64_t, LatencyHistogram::kBuckets> latency_buckets{};
 
-  // Aggregation-engine hot-path counters summed over shards (one AggPerf
-  // per shard engine, see core/engine.hpp; filled by
-  // ShardedController::aggregate_metrics(), zero when aggregating raw
-  // ShardMetrics only).
+  // Aggregation-engine hot-path counters of the brain's core engine (see
+  // core/engine.hpp; filled by ShardBrain::aggregate_metrics(), zero when
+  // aggregating raw ShardMetrics only).
   std::uint64_t agg_installs = 0;
   std::uint64_t agg_candidate_scans = 0;
   std::uint64_t agg_candidates_scored = 0;

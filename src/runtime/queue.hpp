@@ -135,8 +135,9 @@ class SpscRing {
   // sc-lint: hotpath(spsc-ring) -- the dispatcher/worker fast path: no
   // locks, no sleeps, no allocation, no hash-map probes, no I/O.
 
-  // Producer side only.
-  bool try_push(T item) {
+  // Producer side only.  Moves from `item` only on success: a full ring
+  // leaves it intact, so the caller can retry with the same object.
+  bool try_push(T& item) {
     const std::size_t tail = tail_.load(std::memory_order_relaxed);
     const std::size_t next = (tail + 1) & mask_;
     if (next == cached_head_) {

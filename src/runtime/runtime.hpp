@@ -90,9 +90,9 @@ struct RuntimeOptions {
 
 class ControlPlaneRuntime {
  public:
-  // The runtime pipelines over any brain implementation: the legacy
-  // per-shard-clone ShardedController or the partitioned ShardBrain
-  // (shard-local engines + single-writer commit stage).
+  // The runtime pipelines over any ControlBrain: the partitioned
+  // ShardBrain (shard-local engines + single-writer commit stage) or a
+  // decorator around it.
   ControlPlaneRuntime(ControlBrain& controller, RuntimeOptions options = {});
   ~ControlPlaneRuntime();
 

@@ -1,6 +1,5 @@
 #include "runtime/shard_brain.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
@@ -8,23 +7,8 @@ namespace softcell {
 
 namespace {
 
-bool read_env_flag() {
-  // Exactly "0" selects the legacy per-shard-clone controller; anything
-  // else (including unset) keeps the partitioned brain on.  Same
-  // convention as SOFTCELL_SLAB / SOFTCELL_FASTPATH.
-  if (const char* env = std::getenv("SOFTCELL_SHARD_BRAIN");
-      env && env[0] == '0' && env[1] == '\0')
-    return false;
-  return true;
-}
-
-bool& flag() {
-  static bool value = read_env_flag();
-  return value;
-}
-
-// splitmix64 finalizer -- MUST match ShardedController::shard_of so the
-// differential corpus sees the same UE partition in both modes.
+// splitmix64 finalizer: spreads consecutive UE ids across shards.  The
+// partition is pinned by a golden (ShardBrainTest.ShardRoutingMatches*).
 std::uint64_t mix64(std::uint64_t z) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
@@ -32,14 +16,6 @@ std::uint64_t mix64(std::uint64_t z) {
 }
 
 }  // namespace
-
-bool shard_brain_enabled() { return flag(); }
-
-ScopedBrainMode::ScopedBrainMode(bool enabled) : previous_(flag()) {
-  flag() = enabled;
-}
-
-ScopedBrainMode::~ScopedBrainMode() { flag() = previous_; }
 
 ShardBrain::ShardBrain(const CellularTopology& topo, ServicePolicy policy,
                        ShardBrainOptions options)
@@ -185,8 +161,8 @@ std::uint64_t ShardBrain::update_policy(ServicePolicy next) {
 
 void ShardBrain::fail_primary_replica() {
   // Core first: on replica exhaustion it throws before any shard store has
-  // been touched, leaving the brain in its pre-call state (the legacy
-  // single store throws at the same failover count).
+  // been touched, leaving the brain in its pre-call state (a single
+  // Controller's store throws at the same failover count).
   committer_.core().fail_primary_replica();
   for (auto& shard : shards_) shard->fail_primary_replica();
 }
@@ -214,7 +190,7 @@ MetricsSnapshot ShardBrain::aggregate_metrics() const {
   MetricsSnapshot out;
   for (std::size_t i = 0; i < shards_.size(); ++i) metrics_[i].merge_into(out);
   // All installs run on the one core engine, so its perf counters are the
-  // whole story (the legacy sharded controller summed N engines here).
+  // whole story.
   const AggPerf p = committer_.core().agg_perf();
   out.agg_installs += p.installs;
   out.agg_candidate_scans += p.candidate_scans;
@@ -232,8 +208,8 @@ MetricsSnapshot ShardBrain::aggregate_metrics() const {
 
 std::uint64_t ShardBrain::state_fingerprint() const {
   // Fold the shard stores' write counts and attachments into the core
-  // fingerprint: the sums equal what the legacy single store absorbed from
-  // the same request history, so the hash comes out bit-identical.
+  // fingerprint: the sums equal what a single Controller's store absorbs
+  // from the same request history, so the hash comes out bit-identical.
   std::uint64_t store_writes = 0;
   std::uint64_t attached = 0;
   for (const auto& shard : shards_) {

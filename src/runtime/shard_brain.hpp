@@ -1,16 +1,14 @@
 // ShardBrain: the partitioned controller brain (DESIGN.md section 16).
 //
-// The legacy runtime scaled by cloning the whole Controller per shard --
-// N disjoint rule universes, fine for control-plane throughput but not a
-// model of one network: the paper's architecture has ONE set of core and
-// gateway switches whose tables every flow shares (Fig. 4's port
-// embedding splits state between BS-local and core switches, not between
-// controller clones).  ShardBrain keeps that single rule universe while
-// still letting N shards proceed in parallel:
+// The paper's architecture has ONE set of core and gateway switches whose
+// tables every flow shares (Fig. 4's port embedding splits state between
+// BS-local and core switches, not between controller clones).  ShardBrain
+// keeps that single rule universe while still letting N shards proceed in
+// parallel:
 //
 //   * per-UE state (profiles, locations, classifier compilation) lives on
-//     the UE's ShardEngine -- shard(ue) = splitmix64(ue) % N, same routing
-//     as the legacy ShardedController, no cross-shard locks;
+//     the UE's ShardEngine -- shard(ue) = splitmix64(ue) % N, no
+//     cross-shard locks;
 //   * shared core state (policy paths, m2m half-paths, the tag namespace
 //     and the core/gateway switch rows) lives on ONE core Controller owned
 //     by the CoreCommitter, which serializes cross-shard installs through
@@ -21,13 +19,16 @@
 //     loads the current PathView and compiles against the shard's own
 //     store.
 //
-// Mode selection: the brain is the default; SOFTCELL_SHARD_BRAIN=0 falls
-// back to the legacy per-shard-clone ShardedController (same convention
-// as SOFTCELL_SLAB / SOFTCELL_FASTPATH).  The two modes are
-// fingerprint-identical by construction -- state_fingerprint() folds the
-// shard stores' write counts and attachments into the core fingerprint so
-// it comes out bit-equal to a legacy single-brain run; the shardbrain
-// differential test corpus asserts this across randomized chaos schedules.
+// Fingerprint: state_fingerprint() folds the shard stores' write counts and
+// attachments into the core fingerprint, so it comes out bit-equal to a
+// single Controller replaying the same request history.  The golden
+// digests in tests/test_shard_brain.cpp were recorded against the
+// per-shard-clone brain this class replaced, and depend on that fold-in.
+//
+// Thread safety: every member is either internally synchronized (the
+// CoreCommitter, each ShardEngine, VersionedSnapshot's writer mutex) or
+// lock-free by design (ShardMetrics relaxed atomics, view_stale_), so no
+// field here carries an SC_GUARDED_BY.
 #pragma once
 
 #include <atomic>
@@ -46,24 +47,6 @@
 #include "telemetry/registry.hpp"
 
 namespace softcell {
-
-// True unless SOFTCELL_SHARD_BRAIN=0 (exactly "0"): partitioned brain on
-// by default, legacy per-shard-clone controller on opt-out.
-[[nodiscard]] bool shard_brain_enabled();
-
-// Scoped override for tests that pin one mode (differential corpus runs
-// the same schedule under both).  Restores the previous mode on exit.
-class ScopedBrainMode {
- public:
-  explicit ScopedBrainMode(bool enabled);
-  ~ScopedBrainMode();
-
-  ScopedBrainMode(const ScopedBrainMode&) = delete;
-  ScopedBrainMode& operator=(const ScopedBrainMode&) = delete;
-
- private:
-  bool previous_;
-};
 
 struct ShardBrainOptions {
   std::size_t shards = 4;
@@ -106,7 +89,7 @@ class ShardBrain final : public ControlPlane, public ControlBrain {
   [[nodiscard]] std::vector<NodeId> select_instances(
       std::uint32_t bs, ClauseId clause) const override;
 
-  // --- policy snapshot (RCU swap, mirrors ShardedController) ----------------
+  // --- policy snapshot (RCU swap; never stalls the request path) ------------
   [[nodiscard]] std::shared_ptr<const ServicePolicy> policy_snapshot() const {
     return policy_.load();
   }
@@ -115,7 +98,7 @@ class ShardBrain final : public ControlPlane, public ControlBrain {
   }
   std::uint64_t update_policy(ServicePolicy next);
 
-  // --- failover (quiescent; same protocol as the legacy controller) ---------
+  // --- failover (quiescent; same protocol as a single Controller) ----------
   void fail_primary_replica();
   void rebuild_locations(
       const std::function<void(
@@ -130,7 +113,7 @@ class ShardBrain final : public ControlPlane, public ControlBrain {
   }
   [[nodiscard]] MetricsSnapshot aggregate_metrics() const override;
 
-  // Bit-identical to the legacy single-brain fingerprint over the same
+  // Bit-identical to a single Controller's fingerprint over the same
   // request history (see the header comment and DESIGN.md section 16).
   [[nodiscard]] std::uint64_t state_fingerprint() const override;
   [[nodiscard]] std::uint64_t canonical_fingerprint() override;

@@ -130,7 +130,7 @@ class ThreadPool {
       // than falling back to the overflow queue: spilling would let later
       // tasks overtake earlier ones and break per-shard FIFO order.
       pending_.fetch_add(1, std::memory_order_acq_rel);
-      while (!w.ring.try_push(std::move(task))) {
+      while (!w.ring.try_push(task)) {
         if (stopping_.load(std::memory_order_acquire)) {
           finish_task();
           return false;

@@ -60,18 +60,9 @@ SoftCellNetwork::SoftCellNetwork(SoftCellConfig config, ServicePolicy policy)
     : config_(normalized(config)),
       topo_(config_.topo),
       codec_(config_.tag_bits),
-      // Exactly one brain: the partitioned shard-brain by default, the
-      // legacy one-shard clone on SOFTCELL_SHARD_BRAIN=0 (and, idle, in
-      // fleet mode -- it is the non-fleet fallback controller there).
-      sharded_(config_.cluster_controllers > 0 || !shard_brain_enabled()
-                   ? std::make_unique<ShardedController>(
-                         topo_, policy,
-                         ShardedControllerOptions{
-                             .shards = 1,
-                             .controller = with_tag_bound(config_.controller,
-                                                          config_.tag_bits)})
-                   : nullptr),
-      brain_(config_.cluster_controllers == 0 && shard_brain_enabled()
+      // Fleet or brain: the partitioned shard-brain unless a controller
+      // fleet is configured.
+      brain_(config_.cluster_controllers == 0
                  ? std::make_unique<ShardBrain>(
                        topo_, policy,
                        ShardBrainOptions{
@@ -89,18 +80,13 @@ SoftCellNetwork::SoftCellNetwork(SoftCellConfig config, ServicePolicy policy)
                            .controller = with_tag_bound(config_.controller,
                                                         config_.tag_bits)})
                  : nullptr),
-      controller_(fleet_   ? fleet_->replica(0)
-                  : brain_ ? brain_->core()
-                           : sharded_->shard(0)),
-      cp_(fleet_   ? static_cast<ControlPlane&>(*fleet_)
-          : brain_ ? static_cast<ControlPlane&>(*brain_)
-                   : static_cast<ControlPlane&>(controller_)),
+      controller_(fleet_ ? fleet_->replica(0) : brain_->core()),
+      cp_(fleet_ ? static_cast<ControlPlane&>(*fleet_)
+                 : static_cast<ControlPlane&>(*brain_)),
       mobility_(controller_, topo_.plan(), codec_, config_.mobility) {
   if (config_.runtime_workers > 0)
     runtime_ = std::make_unique<ControlPlaneRuntime>(
-        brain_ ? static_cast<ControlBrain&>(*brain_)
-               : static_cast<ControlBrain&>(*sharded_),
-        RuntimeOptions{.workers = config_.runtime_workers});
+        *brain_, RuntimeOptions{.workers = config_.runtime_workers});
   if (config_.attach_mirror)
     mirror_ = std::make_unique<ofp::Mirror>(controller_.engine());
   const auto n = topo_.num_base_stations();
@@ -139,7 +125,7 @@ SoftCellNetwork::SoftCellNetwork(SoftCellConfig config, ServicePolicy policy)
         [this](const std::function<void(UeId, UeLocation)>& sink) {
           for (const auto& agent : agents_) agent->enumerate_ues(sink);
         });
-  } else if (brain_) {
+  } else {
     // Tag changes from quiescent maintenance (migrate_path / recompact on
     // the core) bypass the commit stage: push the new tag to the agent AND
     // mark the brain's path view stale so the next classifier fetch or
@@ -149,8 +135,6 @@ SoftCellNetwork::SoftCellNetwork(SoftCellConfig config, ServicePolicy policy)
           brain_->mark_view_stale();
           push_tag(bs, clause, tag);
         });
-  } else {
-    controller_.set_classifier_listener(push_tag);
   }
 }
 
@@ -682,20 +666,14 @@ void SoftCellNetwork::fail_controller_primary_and_recover() {
     fleet_->fail_primary_and_recover();
     return;
   }
-  const auto query =
+  // Fails the core store AND every shard store (same replica budget per
+  // store as a single Controller's), then rebuilds each shard's locations
+  // from the agents it owns.
+  brain_->fail_primary_replica();
+  brain_->rebuild_locations(
       [this](const std::function<void(UeId, UeLocation)>& sink) {
         for (const auto& agent : agents_) agent->enumerate_ues(sink);
-      };
-  if (brain_) {
-    // Fails the core store AND every shard store (same replica budget per
-    // store as the legacy single store), then rebuilds each shard's
-    // locations from the agents it owns.
-    brain_->fail_primary_replica();
-    brain_->rebuild_locations(query);
-    return;
-  }
-  controller_.fail_primary_replica();
-  controller_.rebuild_locations(query);
+      });
 }
 
 void SoftCellNetwork::restart_agent(std::uint32_t bs) {

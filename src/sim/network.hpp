@@ -26,7 +26,6 @@
 #include "packet/nat.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/shard_brain.hpp"
-#include "runtime/sharded_controller.hpp"
 #include "topo/cellular.hpp"
 
 namespace softcell {
@@ -44,9 +43,9 @@ struct SoftCellConfig {
   // the scaling bench measures (coalescing, metrics, shard affinity).
   // 0 (default): inline calls, byte-for-byte the pre-runtime behaviour.
   unsigned runtime_workers = 0;
-  // Brain shard count when the partitioned shard-brain is active (see
-  // SOFTCELL_SHARD_BRAIN; runtime/shard_brain.hpp).  0: the brain default
-  // (4).  Ignored in legacy-brain and fleet modes.
+  // Shard count of the partitioned brain (runtime/shard_brain.hpp).
+  // 0: the brain default (4).  Rejected in fleet mode, where the fleet
+  // partitions by serving bs instead.
   unsigned runtime_shards = 0;
   // Subscribe an ofp::Mirror to the controller's engine: every rule
   // mutation is serialized as a flow-mod and replayed into per-switch
@@ -150,14 +149,12 @@ class SoftCellNetwork {
   // Control-plane traffic goes through cp_, not this reference.
   [[nodiscard]] Controller& controller() { return controller_; }
   [[nodiscard]] const Controller& controller() const { return controller_; }
-  // The partitioned brain, or nullptr in legacy-brain / fleet modes.
+  // The partitioned brain, or nullptr in fleet mode.
   [[nodiscard]] ShardBrain* brain() { return brain_.get(); }
   [[nodiscard]] const ShardBrain* brain() const { return brain_.get(); }
-  // Mode-independent control-plane state hash: in shard-brain mode the
-  // per-shard store writes and attachments are folded into the core
-  // fingerprint, so the value is bit-identical to what the same request
-  // history produces in legacy mode (the shardbrain differential corpus
-  // asserts this).
+  // Control-plane state hash: the brain folds its per-shard store writes
+  // and attachments into the core fingerprint (ShardBrain::
+  // state_fingerprint); in fleet mode it is replica 0's fingerprint.
   [[nodiscard]] std::uint64_t control_fingerprint() const {
     if (brain_) return brain_->state_fingerprint();
     return controller_.state_fingerprint();
@@ -224,18 +221,14 @@ class SoftCellNetwork {
   SoftCellConfig config_;
   CellularTopology topo_;
   PortCodec codec_;
-  // The packet-forwarding walk needs a single rule universe.  In
-  // shard-brain mode (the default) that is the brain's core controller --
-  // N ShardEngines own the per-UE state, one CoreCommitter serializes
-  // installs into the shared core.  With SOFTCELL_SHARD_BRAIN=0 the legacy
-  // one-shard ShardedController is built instead (byte-for-byte the old
-  // behaviour); in fleet mode the idle legacy shard keeps the telemetry
-  // collector registered and the fleet replicas do the work.  Exactly one
-  // of brain_/sharded_ is non-null.
-  std::unique_ptr<ShardedController> sharded_;
+  // Fleet or brain, exactly one non-null.  The packet-forwarding walk
+  // needs a single rule universe: by default that is the brain's core
+  // controller (N ShardEngines own the per-UE state, one CoreCommitter
+  // serializes installs into the shared core); in fleet mode the replicas
+  // do the work and replica 0 is the mirror's engine source.
   std::unique_ptr<ShardBrain> brain_;
-  std::unique_ptr<cluster::ControllerFleet> fleet_;  // fleet mode only
-  Controller& controller_;  // shard 0, brain core, or fleet replica 0
+  std::unique_ptr<cluster::ControllerFleet> fleet_;
+  Controller& controller_;  // brain core, or fleet replica 0
   ControlPlane& cp_;        // where control-plane calls actually go
   std::unique_ptr<ControlPlaneRuntime> runtime_;
   std::unique_ptr<ofp::Mirror> mirror_;

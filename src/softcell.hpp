@@ -30,7 +30,6 @@
 #include "runtime/metrics.hpp"        // per-shard lock-free counters
 #include "runtime/queue.hpp"          // MPMC + SPSC request queues
 #include "runtime/runtime.hpp"        // concurrent request pipeline
-#include "runtime/sharded_controller.hpp"  // horizontally sharded control plane
 #include "runtime/snapshot.hpp"       // RCU-style versioned snapshots
 #include "runtime/thread_pool.hpp"    // worker pool with per-worker rings
 #include "sim/event_queue.hpp"        // discrete-event scheduler

@@ -7,7 +7,7 @@
 // overflow.  A trace id minted at the edge (LocalAgent classifier miss)
 // rides along explicitly (Request::trace_id) or via the thread-local
 // TraceScope, so one flow request yields one reconstructable causal chain
-// across the runtime pipeline, ShardedController, Algorithm-1 resolution,
+// across the runtime pipeline, ShardBrain, Algorithm-1 resolution,
 // and FlowMod install.
 //
 // Tracer::drain() folds every ring into the flight recorder -- a bounded

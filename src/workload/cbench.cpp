@@ -8,7 +8,6 @@
 
 #include "runtime/shard_brain.hpp"
 #include "util/rng.hpp"
-#include "workload/wire_workload.hpp"
 
 namespace softcell {
 
@@ -66,13 +65,8 @@ AgentBenchResult bench_agent_flows(const AgentBenchConfig& config) {
   // Build a real controller over a real topology with one clause per
   // "provider" so each subscriber profile maps to its own policy path.
   CellularTopology topo({.k = config.k, .seed = config.seed});
-  ServicePolicy policy;
-  for (std::uint32_t c = 0; c < config.num_clauses; ++c) {
-    std::vector<MbType> seq{0u, 1u + (c % (topo.num_middlebox_types() - 1))};
-    policy.add_clause(10 + c, Predicate::provider_is(100 + c),
-                      ServiceAction{true, seq, QosClass::kBestEffort});
-  }
-  Controller controller(topo, std::move(policy));
+  Controller controller(topo,
+                        make_wire_policy(topo, config.num_clauses, nullptr));
   const PortCodec codec(10);
 
   const std::uint32_t num_bs = topo.num_base_stations();
@@ -166,73 +160,38 @@ AgentBenchResult bench_agent_flows(const AgentBenchConfig& config) {
   return result;
 }
 
-RuntimeBenchResult bench_runtime_pipeline(const CellularTopology& topo,
-                                          const RuntimeBenchConfig& config) {
-  // Provider-based policy (one clause per provider) and the brain-mode
-  // selection both come from the shared wire-workload builder, so this
-  // bench, the in-process reference run and softcell-serverd agree on the
-  // controller they measure (SOFTCELL_SHARD_BRAIN=0 selects the legacy
-  // per-shard-clone controller in all of them).
-  std::vector<ClauseId> clause_ids;
-  clause_ids.reserve(config.num_clauses);
-  BrainBundle bundle(topo,
-                     make_wire_policy(topo, config.num_clauses, &clause_ids),
-                     config.shards);
-  ControlBrain& controller = bundle.brain();
-
-  // Provision and attach the subscriber base outside the timed region (UE
-  // arrival is a different event class than flow handling).
-  const std::uint64_t total_ues =
-      static_cast<std::uint64_t>(config.num_agents) * config.ues_per_agent;
+RuntimeBenchResult bench_runtime_pipeline(const WireWorkloadConfig& config) {
+  const CellularTopology topo = config.make_topology();
+  std::vector<ClauseId> clauses;
+  ShardBrain brain(topo, make_wire_policy(topo, config.num_clauses, &clauses),
+                   {.shards = config.shards, .controller = {}});
+  // UE arrival is a different event class than flow handling: the
+  // subscriber base is provisioned outside the timed region.
   const std::uint32_t num_bs = topo.num_base_stations();
-  for (std::uint64_t i = 0; i < total_ues; ++i) {
-    const UeId ue(static_cast<std::uint32_t>(i + 1));
-    SubscriberProfile p;
-    p.ue = ue;
-    p.provider = 100 + static_cast<std::uint32_t>(i % config.num_clauses);
-    controller.provision_subscriber(ue, p);
-    const auto bs =
-        static_cast<std::uint32_t>((i / config.ues_per_agent) % num_bs);
-    controller.attach_ue(ue, bs,
-                         LocalUeId(static_cast<std::uint16_t>(i & 0xFFFF)));
-  }
+  provision_wire_ues(brain, config, num_bs);
+  std::vector<WireRequestGen> gens;
+  gens.reserve(config.connections);
+  for (std::uint32_t c = 0; c < config.connections; ++c)
+    gens.emplace_back(config, num_bs, clauses, c);
 
   ControlPlaneRuntime runtime(
-      controller, {.workers = config.workers, .queue_capacity = 8192});
+      brain, {.workers = config.workers, .queue_capacity = 8192});
 
   // Single dispatcher thread = deterministic per-shard request order (the
   // ThreadPool ring guarantee); worker count only changes who executes.
-  Rng rng = Rng::stream(config.seed, /*stream_id=*/0);
-  const auto start = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < config.requests; ++i) {
-    const auto idx = rng.next_below(total_ues);
-    const UeId ue(static_cast<std::uint32_t>(idx + 1));
-    const auto bs = static_cast<std::uint32_t>(
-        (idx / config.ues_per_agent) % num_bs);
-    Request r;
-    r.ue = ue;
-    r.bs = bs;
-    if (rng.next_double() < config.path_request_ratio) {
-      // A flow miss: the agent asks for the UE's clause path at its bs.
-      r.kind = RequestKind::kPolicyPath;
-      r.clause = clause_ids[idx % config.num_clauses];
-    } else {
-      // The Cbench op: classifier fetch on UE arrival/handoff.
-      r.kind = RequestKind::kFetchClassifiers;
-    }
-    runtime.post(std::move(r));
-  }
+  const auto start = Clock::now();
+  for (std::uint64_t i = 0; i < config.requests_per_conn; ++i)
+    for (auto& gen : gens) runtime.post(net::to_request(gen.next()));
   runtime.drain();
   const double seconds = seconds_since(start);
 
   RuntimeBenchResult result;
-  result.total = MicroBenchResult{config.requests, seconds};
+  result.total = MicroBenchResult{config.requests_per_conn * config.connections,
+                                  seconds};
   result.metrics = runtime.metrics();
   // Canonical (recompact-then-fingerprint) so the value is independent of
-  // the commit interleaving at the shard brain's single core: worker
-  // counts and modes land on the same final rule universe, so the bench's
-  // determinism cross-check stays meaningful in both modes.
-  result.fingerprint = controller.canonical_fingerprint();
+  // the commit interleaving at the shard brain's single core.
+  result.fingerprint = brain.canonical_fingerprint();
   return result;
 }
 

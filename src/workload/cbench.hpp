@@ -15,7 +15,7 @@
 #include "agent/local_agent.hpp"
 #include "ctrl/controller.hpp"
 #include "runtime/runtime.hpp"
-#include "runtime/sharded_controller.hpp"
+#include "workload/wire_workload.hpp"
 
 namespace softcell {
 
@@ -58,30 +58,21 @@ struct AgentBenchResult {
 };
 AgentBenchResult bench_agent_flows(const AgentBenchConfig& config);
 
-// Sharded-runtime harness: the same Cbench protocol, but driven through
-// the ControlPlaneRuntime pipeline (src/runtime/) -- a dispatcher thread
-// emulating the agents posts classifier-fetch and flow-miss requests,
+// Runtime-pipeline harness: the wire workload (wire_workload.hpp) -- same
+// topology, policy, subscriber base and per-connection request streams
+// softcell-serverd serves -- posted straight into a ControlPlaneRuntime
+// over a ShardBrain, with no codec or socket in between.  One dispatcher
+// thread plays every connection, one request per connection in turn;
 // worker threads execute them on the owning shards.  This is the workload
-// behind bench_runtime_scaling: sweep `workers` and watch requests/sec.
-struct RuntimeBenchConfig {
-  std::size_t shards = 8;
-  unsigned workers = 1;
-  std::uint32_t num_agents = 64;      // emulated base stations
-  std::uint32_t ues_per_agent = 64;   // provisioned per base station
-  std::uint32_t num_clauses = 16;     // provider-based policy clauses
-  std::uint64_t requests = 100'000;
-  double path_request_ratio = 0.02;   // fraction of flow-miss requests
-  std::uint64_t seed = 1;
-};
+// behind bench_runtime_scaling (sweep `workers`, watch requests/sec) and
+// the per-request denominator of bench_telemetry_overhead.
 struct RuntimeBenchResult {
   MicroBenchResult total;
   MetricsSnapshot metrics;       // per-shard counters + latency histogram
   // Canonical (recompact-then-fingerprint) final control state: identical
-  // across worker counts AND across brain modes (shard brain vs legacy
-  // clones), so it doubles as the cross-mode determinism oracle.
+  // across worker counts, so it doubles as the determinism oracle.
   std::uint64_t fingerprint = 0;
 };
-RuntimeBenchResult bench_runtime_pipeline(const CellularTopology& topo,
-                                          const RuntimeBenchConfig& config);
+RuntimeBenchResult bench_runtime_pipeline(const WireWorkloadConfig& config);
 
 }  // namespace softcell

@@ -26,21 +26,6 @@ ServicePolicy make_wire_policy(const CellularTopology& topo,
   return policy;
 }
 
-BrainBundle::BrainBundle(const CellularTopology& topo, ServicePolicy policy,
-                         std::size_t shards) {
-  if (shard_brain_enabled()) {
-    shard_ = std::make_unique<ShardBrain>(topo, std::move(policy),
-                                          ShardBrainOptions{.shards = shards});
-    brain_ = shard_.get();
-  } else {
-    ShardedControllerOptions shard_opts;
-    shard_opts.shards = shards;
-    legacy_ = std::make_unique<ShardedController>(topo, std::move(policy),
-                                                  shard_opts);
-    brain_ = legacy_.get();
-  }
-}
-
 void provision_wire_ues(ControlBrain& brain, const WireWorkloadConfig& config,
                         std::uint32_t num_bs) {
   const std::uint64_t total = config.total_ues();
@@ -87,15 +72,14 @@ ofp::PacketInMsg WireRequestGen::next() {
 std::uint64_t run_wire_workload_inprocess(const CellularTopology& topo,
                                           const WireWorkloadConfig& config) {
   std::vector<ClauseId> clauses;
-  BrainBundle bundle(topo,
-                     make_wire_policy(topo, config.num_clauses, &clauses),
-                     config.shards);
+  ShardBrain brain(topo, make_wire_policy(topo, config.num_clauses, &clauses),
+                   {.shards = config.shards, .controller = {}});
   const std::uint32_t num_bs = topo.num_base_stations();
-  provision_wire_ues(bundle.brain(), config, num_bs);
+  provision_wire_ues(brain, config, num_bs);
 
   ControlPlaneRuntime runtime(
-      bundle.brain(), {.workers = config.workers, .queue_capacity = 8192});
-  net::RuntimeDispatcher dispatcher(runtime, bundle.brain());
+      brain, {.workers = config.workers, .queue_capacity = 8192});
+  net::RuntimeDispatcher dispatcher(runtime, brain);
 
   // The same per-connection streams the wire client sends, dispatched
   // through the same boundary; completions are fire-and-forget because the

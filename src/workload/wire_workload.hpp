@@ -17,14 +17,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "net/dispatch.hpp"
 #include "ofp/codec.hpp"
 #include "runtime/shard_brain.hpp"
-#include "runtime/sharded_controller.hpp"
 #include "topo/cellular.hpp"
 #include "util/rng.hpp"
 
@@ -56,22 +54,6 @@ struct WireWorkloadConfig {
 [[nodiscard]] ServicePolicy make_wire_policy(const CellularTopology& topo,
                                              std::uint32_t num_clauses,
                                              std::vector<ClauseId>* ids);
-
-// Brain-mode selection (partitioned ShardBrain by default, the legacy
-// per-shard-clone controller under SOFTCELL_SHARD_BRAIN=0), extracted from
-// bench_runtime_pipeline so the serving paths and the benches agree on it.
-class BrainBundle {
- public:
-  BrainBundle(const CellularTopology& topo, ServicePolicy policy,
-              std::size_t shards);
-
-  [[nodiscard]] ControlBrain& brain() { return *brain_; }
-
- private:
-  std::unique_ptr<ShardBrain> shard_;
-  std::unique_ptr<ShardedController> legacy_;
-  ControlBrain* brain_ = nullptr;
-};
 
 // Provisions + attaches the deterministic subscriber base the request
 // streams reference (outside any timed region).

@@ -123,7 +123,6 @@ TEST(CommitStageStress, BrainReadersRaceCommitsWithoutTearing) {
   // Full-brain variant: shard-store readers (fetch_classifiers through the
   // RCU view) race path commits on every shard.  TSan is the real oracle
   // here; the assertions just pin the visible contract.
-  ScopedBrainMode mode(true);
   CellularTopology topo({.k = 4, .seed = 7});
   ShardBrain brain(topo, make_table1_policy(), {.shards = 4});
   const auto clauses = distinct_clauses(*brain.policy_snapshot());

@@ -461,13 +461,12 @@ TEST(NetServer, WireRunMatchesInProcessFingerprintThenDrains) {
   const std::uint64_t reference = run_wire_workload_inprocess(topo, config);
 
   std::vector<ClauseId> clauses;
-  BrainBundle bundle(topo,
-                     make_wire_policy(topo, config.num_clauses, &clauses),
-                     config.shards);
-  provision_wire_ues(bundle.brain(), config, topo.num_base_stations());
+  ShardBrain brain(topo, make_wire_policy(topo, config.num_clauses, &clauses),
+                   {.shards = config.shards});
+  provision_wire_ues(brain, config, topo.num_base_stations());
   ControlPlaneRuntime runtime(
-      bundle.brain(), {.workers = config.workers, .queue_capacity = 8192});
-  net::RuntimeDispatcher dispatcher(runtime, bundle.brain());
+      brain, {.workers = config.workers, .queue_capacity = 8192});
+  net::RuntimeDispatcher dispatcher(runtime, brain);
   ServerHarness h(dispatcher);
   ASSERT_TRUE(h.ok());
 

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <set>
@@ -15,11 +17,12 @@
 #include <vector>
 
 #include "runtime/queue.hpp"
-#include "runtime/sharded_controller.hpp"
+#include "runtime/shard_brain.hpp"
 #include "runtime/snapshot.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sim/network.hpp"
 #include "util/rng.hpp"
+#include "workload/wire_workload.hpp"
 
 namespace softcell {
 namespace {
@@ -123,6 +126,31 @@ TEST(ThreadPool, PinnedProducerFifoWithBackpressure) {
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(seen[i], i);
 }
 
+// Full-ring regression: a pinned producer that finds its SPSC ring full
+// retries the push, so a failed push must leave the task intact -- moving
+// it away on failure made the retry push an empty husk whose completion
+// never fired.  A one-slot ring and a slow handler make nearly every
+// submission take the retry path.
+TEST(ThreadPool, FullRingRetryKeepsEveryCompletion) {
+  constexpr int kTasks = 2000;
+  std::atomic<int> ran{0};
+  std::atomic<int> completions{0};
+  {
+    ThreadPool<std::function<void()>> pool(
+        {.workers = 1, .ring_capacity = 1},
+        [&](unsigned, std::function<void()>& task) {
+          ran.fetch_add(1);
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+          if (task) task();
+        });
+    for (int i = 0; i < kTasks; ++i)
+      ASSERT_TRUE(pool.submit_to(0, [&] { completions.fetch_add(1); }));
+    pool.drain();
+  }
+  EXPECT_EQ(ran.load(), kTasks);
+  EXPECT_EQ(completions.load(), kTasks);
+}
+
 TEST(ThreadPool, SharedQueueRunsEverything) {
   std::atomic<int> count{0};
   {
@@ -222,80 +250,60 @@ TEST(Metrics, HistogramQuantilesAndAggregation) {
   EXPECT_LE(snap.latency_quantile_ns(0.50), snap.latency_quantile_ns(0.99));
 }
 
-// --- sharded controller + runtime pipeline ----------------------------------
+// --- shard brain + runtime pipeline -------------------------------------------
 
-ServicePolicy provider_policy(const CellularTopology& topo,
-                              std::uint32_t clauses,
-                              std::vector<ClauseId>* ids = nullptr) {
-  ServicePolicy policy;
-  for (std::uint32_t c = 0; c < clauses; ++c) {
-    std::vector<MbType> seq{0u, 1u + (c % (topo.num_middlebox_types() - 1))};
-    const auto id =
-        policy.add_clause(10 + c, Predicate::provider_is(100 + c),
-                          ServiceAction{true, seq, QosClass::kBestEffort});
-    if (ids) ids->push_back(id);
-  }
-  return policy;
-}
-
-void populate(ShardedController& ctrl, std::uint32_t ues,
-              std::uint32_t clauses, std::uint32_t num_bs) {
+void populate(ShardBrain& brain, std::uint32_t ues, std::uint32_t clauses,
+              std::uint32_t num_bs) {
   for (std::uint32_t i = 0; i < ues; ++i) {
     const UeId ue(i + 1);
     SubscriberProfile p;
     p.ue = ue;
     p.provider = 100 + (i % clauses);
-    ctrl.provision_subscriber(ue, p);
-    ctrl.attach_ue(ue, i % num_bs, LocalUeId(static_cast<std::uint16_t>(i)));
+    brain.provision_subscriber(ue, p);
+    brain.attach_ue(ue, i % num_bs, LocalUeId(static_cast<std::uint16_t>(i)));
   }
 }
 
-TEST(ShardedController, RoutesByUeAndPartitionsState) {
+TEST(ShardBrainPartition, RoutesByUeAndPartitionsState) {
   CellularTopology topo({.k = 4, .seed = 1});
-  ShardedControllerOptions opts;
-  opts.shards = 4;
-  ShardedController ctrl(topo, provider_policy(topo, 4), opts);
-  populate(ctrl, 64, 4, topo.num_base_stations());
+  ShardBrain brain(topo, make_wire_policy(topo, 4, nullptr), {.shards = 4});
+  populate(brain, 64, 4, topo.num_base_stations());
 
   std::set<std::size_t> populated;
   for (std::uint32_t i = 0; i < 64; ++i) {
     const UeId ue(i + 1);
-    const auto shard = ctrl.shard_of(ue);
-    ASSERT_LT(shard, ctrl.shard_count());
+    const auto shard = brain.shard_of(ue);
+    ASSERT_LT(shard, brain.shard_count());
     // The owning shard has the UE's state; the other shards do not.
-    ASSERT_TRUE(ctrl.ue_location(ue).has_value());
-    EXPECT_TRUE(ctrl.shard(shard).ue_location(ue).has_value());
-    for (std::size_t s = 0; s < ctrl.shard_count(); ++s) {
+    ASSERT_TRUE(brain.ue_location(ue).has_value());
+    EXPECT_TRUE(brain.shard(shard).ue_location(ue).has_value());
+    for (std::size_t s = 0; s < brain.shard_count(); ++s) {
       if (s != shard) {
-        EXPECT_FALSE(ctrl.shard(s).ue_location(ue).has_value());
+        EXPECT_FALSE(brain.shard(s).ue_location(ue).has_value());
       }
     }
     populated.insert(shard);
   }
-  EXPECT_EQ(populated.size(), ctrl.shard_count());  // splitmix spreads 64 UEs
+  EXPECT_EQ(populated.size(), brain.shard_count());  // splitmix spreads 64 UEs
 }
 
-TEST(ShardedController, PolicySnapshotSwapIsVersioned) {
+TEST(ShardBrainPartition, PolicySnapshotSwapIsVersioned) {
   CellularTopology topo({.k = 4, .seed = 1});
-  ShardedControllerOptions opts;
-  opts.shards = 2;
-  ShardedController ctrl(topo, provider_policy(topo, 2), opts);
-  const auto before = ctrl.policy_snapshot();
-  const auto v0 = ctrl.policy_version();
-  const auto v1 = ctrl.update_policy(provider_policy(topo, 3));
+  ShardBrain brain(topo, make_wire_policy(topo, 2, nullptr), {.shards = 2});
+  const auto before = brain.policy_snapshot();
+  const auto v0 = brain.policy_version();
+  const auto v1 = brain.update_policy(make_wire_policy(topo, 3, nullptr));
   EXPECT_GT(v1, v0);
-  const auto after = ctrl.policy_snapshot();
+  const auto after = brain.policy_snapshot();
   EXPECT_NE(before.get(), after.get());  // old snapshot still alive, distinct
   EXPECT_EQ(before->clauses().size() + 1, after->clauses().size());
 }
 
 TEST(Runtime, ShardAffinityEachShardOneWorker) {
   CellularTopology topo({.k = 4, .seed = 1});
-  ShardedControllerOptions opts;
-  opts.shards = 4;
-  ShardedController ctrl(topo, provider_policy(topo, 4), opts);
-  populate(ctrl, 64, 4, topo.num_base_stations());
-  ControlPlaneRuntime runtime(ctrl, {.workers = 2});
+  ShardBrain brain(topo, make_wire_policy(topo, 4, nullptr), {.shards = 4});
+  populate(brain, 64, 4, topo.num_base_stations());
+  ControlPlaneRuntime runtime(brain, {.workers = 2});
 
   std::mutex mu;
   std::map<std::size_t, std::set<std::thread::id>> executed_on;
@@ -306,7 +314,7 @@ TEST(Runtime, ShardAffinityEachShardOneWorker) {
       r.kind = RequestKind::kFetchClassifiers;
       r.ue = ue;
       r.bs = i % topo.num_base_stations();
-      const auto shard = ctrl.shard_of(ue);
+      const auto shard = brain.shard_of(ue);
       r.done = [&, shard](Response&&) {
         std::lock_guard lock(mu);
         executed_on[shard].insert(std::this_thread::get_id());
@@ -333,13 +341,11 @@ TEST(Runtime, ShardAffinityEachShardOneWorker) {
 TEST(Runtime, DuplicateMissesCoalesceToOneInstall) {
   CellularTopology topo({.k = 4, .seed = 1});
   std::vector<ClauseId> clauses;
-  ShardedControllerOptions opts;
-  opts.shards = 2;
-  ShardedController ctrl(topo, provider_policy(topo, 2, &clauses), opts);
+  ShardBrain brain(topo, make_wire_policy(topo, 2, &clauses), {.shards = 2});
 
   // Suspended pool: the whole burst is posted before anything executes, so
   // the coalescing decision is deterministic.
-  ControlPlaneRuntime runtime(ctrl, {.workers = 1, .start_suspended = true});
+  ControlPlaneRuntime runtime(brain, {.workers = 1, .start_suspended = true});
   std::mutex mu;
   std::vector<PolicyTag> tags;
   constexpr int kBurst = 8;
@@ -375,12 +381,11 @@ TEST(Runtime, OverflowSubmissionsLoseNothingAndStillCoalesce) {
   // the foreign thread must coalesce without touching a queue at all.
   CellularTopology topo({.k = 4, .seed = 1});
   std::vector<ClauseId> clauses;
-  ShardedControllerOptions opts;
-  opts.shards = 1;  // one shard: every request targets worker 0's queues
-  ShardedController ctrl(topo, provider_policy(topo, 2, &clauses), opts);
-  populate(ctrl, 8, 2, topo.num_base_stations());
+  // One shard: every request targets worker 0's queues.
+  ShardBrain brain(topo, make_wire_policy(topo, 2, &clauses), {.shards = 1});
+  populate(brain, 8, 2, topo.num_base_stations());
 
-  ControlPlaneRuntime runtime(ctrl, {.workers = 1,
+  ControlPlaneRuntime runtime(brain, {.workers = 1,
                                      .queue_capacity = 7,  // usable ring = 7
                                      .overflow_capacity = 8,
                                      .start_suspended = true});
@@ -435,12 +440,39 @@ TEST(Runtime, OverflowSubmissionsLoseNothingAndStillCoalesce) {
   EXPECT_EQ(m.latency_count(), 16u);  // 11 fetches + 5 path completions
 }
 
+// The full-ring regression at the pipeline level: with a one-slot ring
+// and a slow completion, the dispatcher keeps finding the ring full, and
+// every Request::done must still fire exactly once.
+TEST(Runtime, FullRingFiresEveryCompletionExactlyOnce) {
+  constexpr std::uint32_t kRequests = 1000;
+  CellularTopology topo({.k = 4, .seed = 1});
+  ShardBrain brain(topo, make_wire_policy(topo, 2, nullptr), {.shards = 1});
+  populate(brain, 8, 2, topo.num_base_stations());
+  ControlPlaneRuntime runtime(brain, {.workers = 1, .queue_capacity = 1});
+
+  std::vector<std::atomic<int>> fired(kRequests);
+  for (std::uint32_t i = 0; i < kRequests; ++i) {
+    Request r;
+    r.kind = RequestKind::kFetchClassifiers;
+    r.ue = UeId(1 + i % 8);
+    r.bs = i % topo.num_base_stations();
+    r.done = [&fired, i](Response&& resp) {
+      EXPECT_TRUE(resp.ok) << resp.error;
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+      fired[i].fetch_add(1);
+    };
+    ASSERT_TRUE(runtime.post(std::move(r)));
+  }
+  runtime.drain();
+  for (std::uint32_t i = 0; i < kRequests; ++i)
+    EXPECT_EQ(fired[i].load(), 1) << "request " << i;
+  EXPECT_EQ(runtime.metrics().latency_count(), kRequests);
+}
+
 TEST(Runtime, ErrorsPropagateAndAreCounted) {
   CellularTopology topo({.k = 4, .seed = 1});
-  ShardedControllerOptions opts;
-  opts.shards = 2;
-  ShardedController ctrl(topo, provider_policy(topo, 2), opts);
-  ControlPlaneRuntime runtime(ctrl, {.workers = 1});
+  ShardBrain brain(topo, make_wire_policy(topo, 2, nullptr), {.shards = 2});
+  ControlPlaneRuntime runtime(brain, {.workers = 1});
   // Unknown clause: the worker catches the controller's exception and the
   // synchronous wrapper rethrows it on the caller's thread.
   EXPECT_THROW(runtime.request_policy_path(UeId(1), 0, ClauseId(9999)),
@@ -448,9 +480,12 @@ TEST(Runtime, ErrorsPropagateAndAreCounted) {
   EXPECT_GE(runtime.metrics().errors, 1u);
 }
 
-// The headline determinism property: N workers produce byte-identical final
-// controller state to the single-threaded reference, because a shard's
-// requests execute in posting order on its one worker.
+// The headline determinism property: N workers reach the same final brain
+// state as the single-threaded reference.  A shard's requests execute in
+// posting order on its one worker; commits from different shards meet at
+// the one core in an interleaving-dependent order, so the comparison uses
+// the canonical (recompact-then-fingerprint) hash -- the same oracle the
+// wire-parity test and the benches use.
 TEST(Runtime, StressFourWorkersMatchSerialReference) {
   constexpr std::uint32_t kUes = 256;
   constexpr std::uint32_t kClauses = 8;
@@ -465,7 +500,7 @@ TEST(Runtime, StressFourWorkersMatchSerialReference) {
     ClauseId clause;
   };
   std::vector<ClauseId> clauses;
-  provider_policy(topo, kClauses, &clauses);
+  (void)make_wire_policy(topo, kClauses, &clauses);
   std::vector<Op> ops;
   ops.reserve(kRequests);
   Rng rng = Rng::stream(0xD15EA5E, 0);
@@ -476,21 +511,20 @@ TEST(Runtime, StressFourWorkersMatchSerialReference) {
   }
 
   const auto run = [&](unsigned workers) {
-    ShardedControllerOptions opts;
-    opts.shards = 4;
-    ShardedController ctrl(topo, provider_policy(topo, kClauses), opts);
-    populate(ctrl, kUes, kClauses, num_bs);
+    ShardBrain brain(topo, make_wire_policy(topo, kClauses, nullptr),
+                     {.shards = 4});
+    populate(brain, kUes, kClauses, num_bs);
     if (workers == 0) {
       // Inline serial reference: no runtime, no threads.
       for (const auto& op : ops) {
         if (op.path)
-          (void)ctrl.request_policy_path(op.ue, op.bs, op.clause);
+          (void)brain.request_policy_path(op.ue, op.bs, op.clause);
         else
-          (void)ctrl.fetch_classifiers(op.ue, op.bs);
+          (void)brain.fetch_classifiers(op.ue, op.bs);
       }
-      return ctrl.state_fingerprint();
+      return brain.canonical_fingerprint();
     }
-    ControlPlaneRuntime runtime(ctrl, {.workers = workers});
+    ControlPlaneRuntime runtime(brain, {.workers = workers});
     for (const auto& op : ops) {
       Request r;
       r.kind = op.path ? RequestKind::kPolicyPath
@@ -502,7 +536,7 @@ TEST(Runtime, StressFourWorkersMatchSerialReference) {
     }
     runtime.drain();
     EXPECT_EQ(runtime.metrics().errors, 0u);
-    return ctrl.state_fingerprint();
+    return brain.canonical_fingerprint();
   };
 
   const auto reference = run(0);

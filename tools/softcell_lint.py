@@ -48,12 +48,14 @@ section 12, "Static guarantees"):
   controller-construct
                     Controller instances are owned by the composition roots
                     in src/sim/ (SoftCellNetwork) and src/cluster/
-                    (ControllerFleet's replicas); constructing one anywhere
-                    else (stack, new, make_unique/make_shared) bypasses the
-                    fleet's partition-ownership leases -- two Controllers
-                    over the same topology silently double-own every UE.
-                    References, pointers and the Controller* derived types
-                    (ShardedController, ControllerOptions, ControllerFleet)
+                    (ControllerFleet's replicas), plus the ShardBrain's one
+                    core, which the CoreCommitter holds as a member (not a
+                    construction spelling this rule matches); constructing
+                    one anywhere else (stack, new, make_unique/make_shared)
+                    bypasses the fleet's partition-ownership leases -- two
+                    Controllers over the same topology silently double-own
+                    every UE.  References, pointers and the Controller-
+                    prefixed types (ControllerOptions, ControllerFleet)
                     stay free.
 
   cross-shard-direct
@@ -75,10 +77,9 @@ section 12, "Static guarantees"):
                     live in the slab layout (Slab/SlabMap/FlatMap), not in
                     node-based std::unordered_map / std::map -- at a
                     million resident UEs the per-node allocation overhead
-                    dominates the footprint (DESIGN.md section 15).  The
-                    files that deliberately keep the legacy layout behind
-                    the SOFTCELL_SLAB=0 hatch carry a file-wide
-                    `// sc-lint: slab-owner(...)` marker.
+                    dominates the footprint (DESIGN.md section 15).  A file
+                    that must keep such a node map carries a file-wide
+                    `// sc-lint: slab-owner(...)` marker saying why.
 
   raw-socket        Socket and epoll syscalls (::socket, ::send, ::recv,
                     ::epoll_*, ...) and their system headers live only
@@ -380,9 +381,8 @@ def check_metrics_direct(path: str, raw_lines: list[str],
 # its replicas).  Everyone else must accept a ControlPlane& / Controller&.
 #
 # Three construction spellings, each anchored so the Controller-prefixed and
-# Controller-suffixed types (ControllerFleet, ControllerOptions,
-# ShardedController) and mere references (Controller&, Controller*) never
-# match:
+# Controller-suffixed types (ControllerFleet, ControllerOptions) and mere
+# references (Controller&, Controller*) never match:
 #   * heap:   new Controller(...)            / new Controller{...}
 #   * smart:  make_unique<Controller>(...)   / make_shared<Controller>(...)
 #   * stack:  Controller name(...)           / Controller name{...}
@@ -451,10 +451,11 @@ def check_cross_shard_direct(path: str, raw_lines: list[str],
 # The slab migration (DESIGN.md section 15) moved per-UE / per-flow resident
 # state out of node-based maps; this rule keeps it out.  Scope is the hot
 # directories by path segment (mirroring epoch-bump's substring convention so
-# the fixture can carry the segment in its file name).  Files that own the
-# legacy SOFTCELL_SLAB=0 layout declare it with a file-wide
-# `// sc-lint: slab-owner(...)` marker (a comment, parsed from raw text),
-# exactly the metrics-owner exemption shape.
+# the fixture can carry the segment in its file name).  A file that must keep
+# a node map declares it with a file-wide `// sc-lint: slab-owner(...)`
+# marker (a comment, parsed from raw text), exactly the metrics-owner
+# exemption shape; the stale-marker audit fails a marker that exempts
+# nothing.
 
 _SLAB_OWNER = re.compile(r"sc-lint:\s*slab-owner\([^)]*\)")
 _NODE_MAP_HOTPATH = re.compile(
@@ -477,7 +478,7 @@ def check_node_map_hotpath(path: str, raw_lines: list[str],
                 f"{m.group(0).strip()}: per-UE/per-flow resident state in "
                 "hot directories uses the slab layout (Slab/SlabMap/"
                 "FlatMap); node maps live only in sc-lint: slab-owner(...) "
-                "files behind the SOFTCELL_SLAB=0 hatch", line))
+                "files", line))
     marker = _marker_line(_SLAB_OWNER, raw_lines)
     if marker is not None:
         return _audit_owner_marker("node-map-hotpath", "slab-owner", path,
