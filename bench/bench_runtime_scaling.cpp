@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   std::printf("=== softcell::runtime -- sharded pipeline scaling ===\n");
   std::printf("(Cbench protocol through the request pipeline: 64 emulated"
               " agents, 8 shards,\n 2%% flow-miss requests; single dispatcher"
-              " thread feeds the worker rings)\n\n");
+              " thread feeds the worker queues)\n\n");
   std::printf("  host hardware threads: %u\n\n", hw);
   std::printf("  %7s | %12s | %9s | %9s | %9s | %9s\n", "workers",
               "requests/s", "p50 us", "p99 us", "coalesced", "speedup");
@@ -108,8 +108,8 @@ int main(int argc, char** argv) {
   if (hw <= 1)
     std::printf("  note: single-hardware-thread host -- workers time-slice"
                 " one core, so the sweep shows pipeline overhead, not"
-                " parallel speedup; on a multi-core host the per-shard"
-                " rings scale the request path.\n");
+                " parallel speedup; on a multi-core host the per-worker"
+                " queues scale the request path.\n");
   else if (!valid_scaling)
     std::printf("  warning: host has %u hardware threads but the sweep runs"
                 " up to %u workers -- oversubscribed rows are time-sliced"

@@ -25,8 +25,8 @@
 #      softcell-bench-1 envelope is validated, and `ctest -L net` runs the
 #      directed partial-read/short-write/backpressure/drain suite
 #   6. ASan + TSan + UBSan rebuilds running the
-#      concurrency|chaos|cluster|slab|shardbrain labels (ASan and TSan
-#      additionally rerun `net`) with a trimmed corpus (SOFTCELL_CHAOS_SEEDS)
+#      concurrency|chaos|cluster|slab|shardbrain|net labels with a trimmed
+#      corpus (SOFTCELL_CHAOS_SEEDS)
 #
 # Every stage runs even if an earlier one fails; a per-stage
 # PASS/FAIL/SKIP summary is printed at the end and the script exits
@@ -277,8 +277,8 @@ if [[ "$FAST" == 0 ]]; then
     bash -c 'cd build-tsan && SOFTCELL_CHAOS_SEEDS=25 ctest --output-on-failure -L "concurrency|chaos|cluster|slab|shardbrain|net"'
   run_stage "ubsan configure" cmake -B build-ubsan -S . -DSOFTCELL_SANITIZE=undefined
   run_stage "ubsan build"     cmake --build build-ubsan -j
-  run_stage "ubsan tests (concurrency|chaos|cluster|slab|shardbrain)" \
-    bash -c 'cd build-ubsan && SOFTCELL_CHAOS_SEEDS=40 ctest --output-on-failure -L "concurrency|chaos|cluster|slab|shardbrain"'
+  run_stage "ubsan tests (concurrency|chaos|cluster|slab|shardbrain|net)" \
+    bash -c 'cd build-ubsan && SOFTCELL_CHAOS_SEEDS=40 ctest --output-on-failure -L "concurrency|chaos|cluster|slab|shardbrain|net"'
 fi
 
 echo

@@ -164,6 +164,10 @@ class FrameAssembler {
 
   // Convenience: append a fragment (one extra copy vs writable/commit).
   void feed(std::span<const std::uint8_t> bytes) {
+    // A zero-length feed may carry a null source and, on an empty buffer,
+    // get a null destination; memcpy with a null pointer is UB even for
+    // zero bytes.
+    if (bytes.empty()) return;
     auto dst = writable(bytes.size());
     std::memcpy(dst.data(), bytes.data(), bytes.size());
     commit(bytes.size());

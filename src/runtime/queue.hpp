@@ -1,21 +1,18 @@
-// Request queues for the control-plane runtime.
+// The request queue of the control-plane runtime.
 //
-// Two complementary queues power the thread pool (see thread_pool.hpp):
-//   * BoundedMpmcQueue -- the mutex+condvar baseline: any number of
-//     producers and consumers, blocking push/pop with backpressure (a full
-//     queue stalls producers instead of growing without bound, so a burst
-//     of requests slows admission rather than exhausting memory);
-//   * SpscRing -- a lock-free single-producer/single-consumer ring used as
-//     the per-worker fast path: the dispatcher thread feeds each worker's
-//     ring with acquire/release atomics only, no locks on either side.
+// BoundedMpmcQueue is each thread-pool worker's one queue (see
+// thread_pool.hpp): any number of producers and consumers, FIFO per
+// producer, blocking push with backpressure (a full queue stalls producers
+// instead of growing without bound, so a burst of requests slows admission
+// rather than exhausting memory).  pop_all() hands a consumer everything
+// queued under one lock, so a busy worker pays one lock round-trip per
+// batch, not per task.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <deque>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
 #include "util/annotations.hpp"
 
@@ -74,6 +71,22 @@ class BoundedMpmcQueue {
     return true;
   }
 
+  // Blocks while the queue is empty, then moves every queued item into
+  // `out` (which must be empty) in FIFO order.  Returns false once the
+  // queue is closed *and* drained.
+  bool pop_all(std::deque<T>& out) SC_EXCLUDES(mu_) {
+    {
+      sc::UniqueLock lock(mu_);
+      not_empty_.wait(lock, [&]() SC_REQUIRES(mu_) {
+        return closed_ || !items_.empty();
+      });
+      if (items_.empty()) return false;  // closed and drained
+      out.swap(items_);
+    }
+    not_full_.notify_all();
+    return true;
+  }
+
   // Never blocks.  Returns false when currently empty.
   bool try_pop(T& out) SC_EXCLUDES(mu_) {
     {
@@ -95,89 +108,13 @@ class BoundedMpmcQueue {
     not_empty_.notify_all();
   }
 
-  [[nodiscard]] bool closed() const SC_EXCLUDES(mu_) {
-    sc::LockGuard lock(mu_);
-    return closed_;
-  }
-  [[nodiscard]] std::size_t size() const SC_EXCLUDES(mu_) {
-    sc::LockGuard lock(mu_);
-    return items_.size();
-  }
-  [[nodiscard]] bool empty() const { return size() == 0; }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-
  private:
   const std::size_t capacity_;
-  mutable sc::Mutex mu_;
+  sc::Mutex mu_;
   sc::CondVar not_full_;
   sc::CondVar not_empty_;
   std::deque<T> items_ SC_GUARDED_BY(mu_);
   bool closed_ SC_GUARDED_BY(mu_) = false;
-};
-
-// Lock-free bounded single-producer/single-consumer ring.  Exactly one
-// thread may call try_push and exactly one (other) thread try_pop; the
-// indices are cache-line separated and each side caches the opposite index
-// to avoid ping-ponging the shared lines on every operation.
-//
-// Capacity is rounded up to a power of two; one slot is sacrificed to
-// distinguish full from empty, so usable capacity is 2^n - 1.
-template <typename T>
-class SpscRing {
- public:
-  explicit SpscRing(std::size_t min_capacity) {
-    std::size_t cap = 2;
-    while (cap < min_capacity + 1) cap <<= 1;
-    slots_.resize(cap);
-    mask_ = cap - 1;
-  }
-
-  // sc-lint: hotpath(spsc-ring) -- the dispatcher/worker fast path: no
-  // locks, no sleeps, no allocation, no hash-map probes, no I/O.
-
-  // Producer side only.  Moves from `item` only on success: a full ring
-  // leaves it intact, so the caller can retry with the same object.
-  bool try_push(T& item) {
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    const std::size_t next = (tail + 1) & mask_;
-    if (next == cached_head_) {
-      cached_head_ = head_.load(std::memory_order_acquire);
-      if (next == cached_head_) return false;  // full
-    }
-    slots_[tail] = std::move(item);
-    tail_.store(next, std::memory_order_release);
-    return true;
-  }
-
-  // Consumer side only.
-  bool try_pop(T& out) {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    if (head == cached_tail_) {
-      cached_tail_ = tail_.load(std::memory_order_acquire);
-      if (head == cached_tail_) return false;  // empty
-    }
-    out = std::move(slots_[head]);
-    head_.store((head + 1) & mask_, std::memory_order_release);
-    return true;
-  }
-
-  // Approximate (exact only from the consumer thread).
-  [[nodiscard]] bool empty() const {
-    return head_.load(std::memory_order_acquire) ==
-           tail_.load(std::memory_order_acquire);
-  }
-
-  // sc-lint: endhotpath(spsc-ring)
-
-  [[nodiscard]] std::size_t capacity() const { return mask_; }
-
- private:
-  std::vector<T> slots_;
-  std::size_t mask_ = 0;
-  alignas(64) std::atomic<std::size_t> head_{0};  // next slot to pop
-  alignas(64) std::atomic<std::size_t> tail_{0};  // next slot to fill
-  alignas(64) std::size_t cached_head_ = 0;       // producer's view of head_
-  alignas(64) std::size_t cached_tail_ = 0;       // consumer's view of tail_
 };
 
 }  // namespace softcell

@@ -6,22 +6,27 @@
 #include "telemetry/trace.hpp"
 
 namespace softcell {
+namespace {
+
+Response shut_down_response() {
+  Response r;
+  r.ok = false;
+  r.error = "control-plane runtime is shut down";
+  return r;
+}
+
+}  // namespace
 
 ControlPlaneRuntime::ControlPlaneRuntime(ControlBrain& controller,
                                          RuntimeOptions options)
-    : controller_(controller), options_(options) {
+    : controller_(controller) {
   pending_.reserve(controller_.shard_count());
   for (std::size_t i = 0; i < controller_.shard_count(); ++i)
     pending_.push_back(std::make_unique<ShardPending>());
-  ThreadPoolOptions pool_options;
-  pool_options.workers = options_.workers;
-  pool_options.ring_capacity = options_.queue_capacity;
-  pool_options.shared_capacity = options_.queue_capacity;
-  if (options_.overflow_capacity != 0)
-    pool_options.overflow_capacity = options_.overflow_capacity;
-  pool_options.start_suspended = options_.start_suspended;
   pool_ = std::make_unique<ThreadPool<Job>>(
-      pool_options,
+      ThreadPoolOptions{.workers = options.workers,
+                        .queue_capacity = options.queue_capacity,
+                        .start_suspended = options.start_suspended},
       [this](unsigned worker, Job& job) { execute(worker, job); });
 }
 
@@ -34,50 +39,40 @@ ControlPlaneRuntime::~ControlPlaneRuntime() {
 void ControlPlaneRuntime::start() { pool_->start(); }
 
 bool ControlPlaneRuntime::post(Request request) {
-  Job job;
-  job.shard = controller_.shard_of(request.ue);
-  job.submitted = Clock::now();
+  const std::size_t shard = controller_.shard_of(request.ue);
+  const auto submitted = Clock::now();
   // Inherit the poster's causal chain so the worker-side spans stitch onto
   // the span that crossed the queue (e.g. the LocalAgent classifier miss).
   if (request.trace_id == 0)
     request.trace_id = telemetry::current_trace_id();
 
-  if (request.kind == RequestKind::kPolicyPath &&
-      options_.coalesce_path_misses) {
-    ShardPending& pending = *pending_[job.shard];
-    sc::UniqueLock lock(pending.mu);
-    const auto key = path_key(request.bs, request.clause);
+  const bool path = request.kind == RequestKind::kPolicyPath;
+  const auto key = path_key(request.bs, request.clause);
+  if (path) {
+    ShardPending& pending = *pending_[shard];
+    sc::LockGuard lock(pending.mu);
     if (const auto it = pending.waiting.find(key);
         it != pending.waiting.end()) {
       // An install for this (bs, clause) is already in flight on this
       // shard: attach instead of enqueueing a duplicate.  The worker will
       // answer us with the same tag it answers the primary request.
-      it->second.push_back(Waiter{std::move(request.done), job.submitted});
+      it->second.push_back(Waiter{std::move(request.done), submitted});
       in_flight_.fetch_add(1, std::memory_order_acq_rel);
-      controller_.metrics(job.shard).count_coalesced();
+      controller_.metrics(shard).count_coalesced();
       return true;
     }
     pending.waiting.emplace(key, std::vector<Waiter>{});
-    lock.unlock();
-    in_flight_.fetch_add(1, std::memory_order_acq_rel);
-    job.request = std::move(request);
-    if (!pool_->submit_to(worker_of(job.shard), std::move(job))) {
-      // Rejected (shutting down): roll the marker back.
-      sc::LockGuard relock(pending.mu);
-      pending.waiting.erase(key);
-      complete_one();
-      return false;
-    }
-    return true;
   }
 
   in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  job.request = std::move(request);
-  if (!pool_->submit_to(worker_of(job.shard), std::move(job))) {
-    complete_one();
-    return false;
-  }
-  return true;
+  if (pool_->submit_to(worker_of(shard),
+                       Job{std::move(request), shard, submitted}))
+    return true;
+  // Rejected (shutting down): retire the in-flight marker, answering any
+  // duplicate that attached to it meanwhile.
+  if (path) answer_waiters(shard, key, shut_down_response());
+  complete_one();
+  return false;
 }
 
 void ControlPlaneRuntime::finish(std::size_t shard,
@@ -92,6 +87,21 @@ void ControlPlaneRuntime::finish(std::size_t shard,
   if (!response.ok) metrics.count_error();
   if (done) done(std::move(response));
   complete_one();
+}
+
+void ControlPlaneRuntime::answer_waiters(std::size_t shard, std::uint64_t key,
+                                         const Response& response) {
+  std::vector<Waiter> waiters;
+  {
+    ShardPending& pending = *pending_[shard];
+    sc::LockGuard lock(pending.mu);
+    const auto it = pending.waiting.find(key);
+    if (it == pending.waiting.end()) return;
+    waiters = std::move(it->second);
+    pending.waiting.erase(it);
+  }
+  for (auto& waiter : waiters)
+    finish(shard, waiter.submitted, waiter.done, Response(response));
 }
 
 void ControlPlaneRuntime::complete_one() {
@@ -132,22 +142,10 @@ void ControlPlaneRuntime::execute(unsigned, Job& job) {
     response.error = e.what();
   }
 
-  if (r.kind == RequestKind::kPolicyPath && options_.coalesce_path_misses) {
-    // Detach the waiters that coalesced onto this install and answer them
-    // all with the same outcome.
-    std::vector<Waiter> waiters;
-    {
-      ShardPending& pending = *pending_[job.shard];
-      sc::LockGuard lock(pending.mu);
-      const auto it = pending.waiting.find(path_key(r.bs, r.clause));
-      if (it != pending.waiting.end()) {
-        waiters = std::move(it->second);
-        pending.waiting.erase(it);
-      }
-    }
-    for (auto& waiter : waiters)
-      finish(job.shard, waiter.submitted, waiter.done, Response(response));
-  }
+  // Answer the waiters that coalesced onto this install with the same
+  // outcome.
+  if (r.kind == RequestKind::kPolicyPath)
+    answer_waiters(job.shard, path_key(r.bs, r.clause), response);
   finish(job.shard, job.submitted, r.done, std::move(response));
 }
 
@@ -165,12 +163,7 @@ Response ControlPlaneRuntime::call(Request request) {
     state->ready = true;
     state->cv.notify_one();
   };
-  if (!post(std::move(request))) {
-    Response r;
-    r.ok = false;
-    r.error = "control-plane runtime is shut down";
-    return r;
-  }
+  if (!post(std::move(request))) return shut_down_response();
   sc::UniqueLock lock(state->mu);
   state->cv.wait(lock, [&]() SC_REQUIRES(state->mu) { return state->ready; });
   return std::move(state->response);

@@ -1,25 +1,26 @@
-// ControlPlaneRuntime: the lock-free request pipeline over the shards.
+// ControlPlaneRuntime: the request pipeline over the shards.
 //
 // Wiring (one box per concept; see DESIGN.md "Concurrency model"):
 //
-//   post(Request) --shard_of(ue)--> worker(shard % W) SPSC ring
+//   post(Request) --shard_of(ue)--> worker(shard % W) bounded queue
 //        |                              |
-//        |  duplicate (bs, clause)      v
+//        |  duplicate (bs, clause)      v  (batch drain)
 //        +--> coalescer (attach to   worker executes on the owning shard,
 //             the in-flight install)  records latency, fires completions
 //
 // Guarantees:
 //   * shard affinity -- every request for a UE executes on the one worker
 //     that owns its shard, so shard state needs no cross-worker ordering;
-//   * per-shard FIFO -- requests posted from the dispatcher thread execute
-//     in posting order (ThreadPool ring guarantee), which makes the final
-//     controller state independent of the worker count: the N-worker run
-//     is byte-identical to the 1-worker reference (stress-tested);
+//   * per-shard FIFO -- requests posted from one thread execute in posting
+//     order (ThreadPool queue guarantee), which makes the final controller
+//     state independent of the worker count: the N-worker run is
+//     byte-identical to the 1-worker reference (stress-tested);
 //   * duplicate-miss coalescing -- concurrent flow misses for the same
 //     (bs, clause) while an install is in flight attach to that install
-//     instead of enqueueing their own; one path is installed, every caller
-//     gets the same tag (Table 2's miss storm collapses to one install);
-//   * backpressure -- bounded queues throttle the dispatcher instead of
+//     instead of enqueueing their own, from whichever thread they are
+//     posted; one path is installed, every caller gets the same tag
+//     (Table 2's miss storm collapses to one install);
+//   * backpressure -- bounded queues throttle the poster instead of
 //     growing the backlog without bound.
 //
 // Completions run on the worker thread; keep them cheap and never call
@@ -77,13 +78,7 @@ struct Request {
 
 struct RuntimeOptions {
   unsigned workers = 2;
-  std::size_t queue_capacity = 4096;
-  // Capacity of each worker's bounded MPMC overflow queue (taken when a
-  // cross-thread submit finds the SPSC ring owned by another producer).
-  // 0: keep the thread pool's default.  Small values let tests force the
-  // overflow path deterministically.
-  std::size_t overflow_capacity = 0;
-  bool coalesce_path_misses = true;
+  std::size_t queue_capacity = 4096;  // per-worker bounded queue
   // Test hook, forwarded to the thread pool.
   bool start_suspended = false;
 };
@@ -153,10 +148,13 @@ class ControlPlaneRuntime {
   void execute(unsigned worker, Job& job);
   void finish(std::size_t shard, Clock::time_point submitted,
               std::function<void(Response&&)>& done, Response&& response);
+  // Detaches the waiters coalesced onto the install of `key` and answers
+  // each with `response`.
+  void answer_waiters(std::size_t shard, std::uint64_t key,
+                      const Response& response);
   void complete_one();
 
   ControlBrain& controller_;
-  RuntimeOptions options_;
   std::vector<std::unique_ptr<ShardPending>> pending_;
   std::unique_ptr<ThreadPool<Job>> pool_;
   std::atomic<std::uint64_t> in_flight_{0};

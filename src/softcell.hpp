@@ -28,7 +28,7 @@
 #include "packet/prefix.hpp"          // IPv4 prefixes
 #include "policy/policy.hpp"          // service policies
 #include "runtime/metrics.hpp"        // per-shard lock-free counters
-#include "runtime/queue.hpp"          // MPMC + SPSC request queues
+#include "runtime/queue.hpp"          // bounded per-worker request queue
 #include "runtime/runtime.hpp"        // concurrent request pipeline
 #include "runtime/snapshot.hpp"       // RCU-style versioned snapshots
 #include "runtime/thread_pool.hpp"    // worker pool with per-worker rings

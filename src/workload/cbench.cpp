@@ -178,7 +178,7 @@ RuntimeBenchResult bench_runtime_pipeline(const WireWorkloadConfig& config) {
       brain, {.workers = config.workers, .queue_capacity = 8192});
 
   // Single dispatcher thread = deterministic per-shard request order (the
-  // ThreadPool ring guarantee); worker count only changes who executes.
+  // ThreadPool queue guarantee); worker count only changes who executes.
   const auto start = Clock::now();
   for (std::uint64_t i = 0; i < config.requests_per_conn; ++i)
     for (auto& gen : gens) runtime.post(net::to_request(gen.next()));

@@ -327,15 +327,21 @@ TEST(NetServer, SlowClientBackpressureDropsAndSurvives) {
   net::WireConn conn;
   std::string err;
   ASSERT_TRUE(conn.connect(h.port(), &err)) << err;
-  const int rcvbuf = 4096;
+  // Pin the client's receive buffer too, so autotuning cannot grow the
+  // kernel's share of the backlog on hosts with large tcp_rmem defaults.
+  const int rcvbuf = 64 * 1024;
   ASSERT_EQ(::setsockopt(conn.fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
                          sizeof(rcvbuf)),
             0);
 
   // Fill the kernel buffers and the server-side outbound buffer with echo
-  // replies (echo bypasses the cap: it is the probe).  64 KiB of replies
-  // against ~16 KiB of pinned kernel capacity keeps unsent >> 64 bytes.
-  constexpr std::uint32_t kEchoes = 8000;
+  // replies (echo bypasses the cap: it is the probe).  The two kernel
+  // buffers absorb up to ~170 KiB of replies on loopback, so the backlog
+  // is 1 MiB: far past that, yet under the 4 MiB control_outbound_limit
+  // that would close the connection.
+  constexpr std::uint32_t kEchoes = 128 * 1024;
+  static_assert(kEchoes * ofp::kHeaderSize <
+                net::ControllerServer::Options{}.control_outbound_limit);
   std::vector<std::uint8_t> echoes;
   echoes.reserve(kEchoes * ofp::kHeaderSize);
   for (std::uint32_t i = 0; i < kEchoes; ++i) {
@@ -343,7 +349,15 @@ TEST(NetServer, SlowClientBackpressureDropsAndSurvives) {
     echoes.insert(echoes.end(), e.begin(), e.end());
   }
   ASSERT_TRUE(conn.send_bytes(echoes));
-  ASSERT_TRUE(poll_until([&] { return h.stats().short_writes.load() >= 1; }));
+  // Precondition, from the server's own counters: once every echo is
+  // decoded, the replies queued but not yet sent keep the outbound buffer
+  // at or above the cap.
+  ASSERT_TRUE(poll_until([&] { return h.stats().frames_in.load() == kEchoes; },
+                         30s));
+  const std::uint64_t unsent =
+      std::uint64_t{kEchoes} * ofp::kHeaderSize - h.stats().bytes_out.load();
+  ASSERT_GE(unsent, options.max_outbound_bytes)
+      << "bytes_out=" << h.stats().bytes_out.load();
 
   // Every packet-in reply now lands on a buffer at the cap: all dropped.
   constexpr std::uint32_t kDropped = 50;

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -39,6 +40,14 @@ TEST(BoundedMpmcQueue, FifoOrderAndBounds) {
     EXPECT_EQ(v, i);
   }
   EXPECT_FALSE(q.try_pop(v));
+
+  // pop_all hands over the whole backlog, still in FIFO order.
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.try_push(10 + i));
+  std::deque<int> batch;
+  ASSERT_TRUE(q.pop_all(batch));
+  EXPECT_EQ(batch, (std::deque<int>{10, 11, 12, 13}));
+  EXPECT_FALSE(q.try_pop(v));
+  EXPECT_TRUE(q.try_push(99));  // the batch freed every slot
 }
 
 TEST(BoundedMpmcQueue, BlockingPushWaitsForSpace) {
@@ -55,6 +64,26 @@ TEST(BoundedMpmcQueue, BlockingPushWaitsForSpace) {
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.push(i));
   consumer.join();
   EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4}));
+
+  // The same with a pop_all consumer: it blocks while the queue is empty,
+  // and each batch it takes frees the slots the blocked producer waits on.
+  constexpr int kItems = 1000;
+  std::atomic<bool> took_batch{false};
+  got.clear();
+  std::thread batcher([&] {
+    std::deque<int> batch;
+    while (got.size() < kItems && q.pop_all(batch)) {
+      took_batch.store(true);
+      got.insert(got.end(), batch.begin(), batch.end());
+      batch.clear();
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(took_batch.load());  // nothing queued yet: still blocked
+  for (int i = 0; i < kItems; ++i) EXPECT_TRUE(q.push(i));
+  batcher.join();
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(kItems));
+  for (int i = 0; i < kItems; ++i) EXPECT_EQ(got[i], i);
 }
 
 TEST(BoundedMpmcQueue, CloseDrainsThenFails) {
@@ -69,24 +98,19 @@ TEST(BoundedMpmcQueue, CloseDrainsThenFails) {
   EXPECT_TRUE(q.pop(v));
   EXPECT_EQ(v, 2);
   EXPECT_FALSE(q.pop(v));  // closed and drained
-}
 
-TEST(SpscRing, CrossThreadFifo) {
-  constexpr int kItems = 100'000;
-  SpscRing<int> ring(64);
-  std::thread producer([&] {
-    for (int i = 0; i < kItems; ++i)
-      while (!ring.try_push(i)) std::this_thread::yield();
-  });
-  int expect = 0, v = -1;
-  while (expect < kItems) {
-    if (ring.try_pop(v)) {
-      ASSERT_EQ(v, expect);  // strict FIFO across threads
-      ++expect;
-    }
-  }
-  producer.join();
-  EXPECT_TRUE(ring.empty());
+  // pop_all: the same contract, one batch at a time.
+  BoundedMpmcQueue<int> r(8);
+  EXPECT_TRUE(r.push(1));
+  EXPECT_TRUE(r.push(2));
+  r.close();
+  EXPECT_FALSE(r.push(3));
+  std::deque<int> batch;
+  ASSERT_TRUE(r.pop_all(batch));
+  EXPECT_EQ(batch, (std::deque<int>{1, 2}));
+  batch.clear();
+  EXPECT_FALSE(r.pop_all(batch));  // closed and drained: no block
+  EXPECT_TRUE(batch.empty());
 }
 
 // --- thread pool -------------------------------------------------------------
@@ -114,30 +138,30 @@ TEST(ThreadSafety, StopRacingStartRunsEveryTaskExactlyOnce) {
   }
 }
 
-TEST(ThreadPool, PinnedProducerFifoWithBackpressure) {
-  // A tiny ring forces the producer through the spin-on-full path; order
-  // must still hold (the determinism guarantee the runtime builds on).
+TEST(ThreadPool, SingleProducerFifoWithBackpressure) {
+  // A tiny queue keeps the producer blocked on a full queue; order must
+  // still hold (the determinism guarantee the runtime builds on).
   std::vector<int> seen;
-  ThreadPool<int> pool({.workers = 1, .ring_capacity = 8},
+  ThreadPool<int> pool({.workers = 1, .queue_capacity = 8},
                        [&](unsigned, int& v) { seen.push_back(v); });
   for (int i = 0; i < 1000; ++i) EXPECT_TRUE(pool.submit_to(0, i));
-  pool.drain();
+  pool.stop();  // runs every accepted task, then joins
   ASSERT_EQ(seen.size(), 1000u);
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(seen[i], i);
 }
 
-// Full-ring regression: a pinned producer that finds its SPSC ring full
-// retries the push, so a failed push must leave the task intact -- moving
-// it away on failure made the retry push an empty husk whose completion
-// never fired.  A one-slot ring and a slow handler make nearly every
-// submission take the retry path.
+// Full-queue regression: a producer that finds its worker's queue full
+// must still hand over the task intact -- an earlier ring-based pool moved
+// it away on a failed push, so the retry pushed an empty husk whose
+// completion never fired.  A one-slot queue and a slow handler make nearly
+// every submission wait for space.
 TEST(ThreadPool, FullRingRetryKeepsEveryCompletion) {
   constexpr int kTasks = 2000;
   std::atomic<int> ran{0};
   std::atomic<int> completions{0};
   {
     ThreadPool<std::function<void()>> pool(
-        {.workers = 1, .ring_capacity = 1},
+        {.workers = 1, .queue_capacity = 1},
         [&](unsigned, std::function<void()>& task) {
           ran.fetch_add(1);
           std::this_thread::sleep_for(std::chrono::microseconds(50));
@@ -145,22 +169,10 @@ TEST(ThreadPool, FullRingRetryKeepsEveryCompletion) {
         });
     for (int i = 0; i < kTasks; ++i)
       ASSERT_TRUE(pool.submit_to(0, [&] { completions.fetch_add(1); }));
-    pool.drain();
+    pool.stop();  // runs every accepted task, then joins
   }
   EXPECT_EQ(ran.load(), kTasks);
   EXPECT_EQ(completions.load(), kTasks);
-}
-
-TEST(ThreadPool, SharedQueueRunsEverything) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool<int> pool({.workers = 2},
-                         [&](unsigned, int&) { count.fetch_add(1); });
-    for (int i = 0; i < 500; ++i) EXPECT_TRUE(pool.submit(i));
-    pool.drain();
-    EXPECT_EQ(count.load(), 500);
-    EXPECT_EQ(pool.processed(), 500u);
-  }
 }
 
 TEST(ThreadPool, SuspendedPoolRunsAcceptedTasksOnStop) {
@@ -174,31 +186,36 @@ TEST(ThreadPool, SuspendedPoolRunsAcceptedTasksOnStop) {
   EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 }
 
-TEST(ThreadPool, OverflowQueuePreservesEveryTaskBehindTheRing) {
-  // A suspended single-worker pool with an exactly-sized ring: the main
-  // thread claims the SPSC ring (first submit_to wins the owner CAS) and
-  // fills all 7 usable slots; a second thread then takes the
-  // foreign-producer path and its 8 submissions land in the bounded MPMC
-  // overflow queue (capacity 8 -- a 9th would block).  On start the worker
-  // drains the ring fully first (that is the per-shard FIFO guarantee),
-  // then the overflow, losing nothing.
-  std::vector<int> seen;
-  ThreadPool<int> pool({.workers = 1,
-                        .ring_capacity = 7,  // usable capacity exactly 7
-                        .overflow_capacity = 8,
-                        .start_suspended = true},
-                       [&](unsigned, int& v) { seen.push_back(v); });
-  for (int i = 0; i < 7; ++i) EXPECT_TRUE(pool.submit_to(0, i));
-  std::thread other([&] {
-    for (int i = 100; i < 108; ++i) EXPECT_TRUE(pool.submit_to(0, i));
-  });
-  other.join();  // all 8 overflow pushes completed with no consumer running
-  pool.start();
-  pool.drain();
-  ASSERT_EQ(seen.size(), 15u);
-  for (int i = 0; i < 7; ++i) EXPECT_EQ(seen[i], i);  // ring first, FIFO
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(seen[7 + i], 100 + i);  // then overflow
-  EXPECT_EQ(pool.processed(), 15u);
+TEST(ThreadPool, TwoProducersOneWorkerRunEveryTaskOnceInProducerOrder) {
+  // Two threads submit to the same worker at once through a small queue,
+  // so both keep meeting a full queue.  Every task runs exactly once, and
+  // each producer's tasks run in that producer's submission order.
+  constexpr int kPerProducer = 5000;
+  std::vector<int> seen;  // only the one worker thread appends
+  {
+    ThreadPool<int> pool({.workers = 1, .queue_capacity = 16},
+                         [&](unsigned, int& v) { seen.push_back(v); });
+    const auto produce = [&](int base) {
+      for (int i = 0; i < kPerProducer; ++i)
+        ASSERT_TRUE(pool.submit_to(0, base + i));
+    };
+    std::thread a(produce, 0);
+    std::thread b(produce, 1'000'000);
+    a.join();
+    b.join();
+    pool.stop();  // runs every accepted task, then joins
+  }
+  ASSERT_EQ(seen.size(), 2u * kPerProducer);
+  int next_a = 0, next_b = 1'000'000;
+  for (const int v : seen) {
+    if (v < 1'000'000) {
+      ASSERT_EQ(v, next_a++);
+    } else {
+      ASSERT_EQ(v, next_b++);
+    }
+  }
+  EXPECT_EQ(next_a, kPerProducer);
+  EXPECT_EQ(next_b, 1'000'000 + kPerProducer);
 }
 
 // --- versioned snapshot ------------------------------------------------------
@@ -373,21 +390,22 @@ TEST(Runtime, DuplicateMissesCoalesceToOneInstall) {
   EXPECT_EQ(m.latency_count(), static_cast<std::uint64_t>(kBurst));
 }
 
-TEST(Runtime, OverflowSubmissionsLoseNothingAndStillCoalesce) {
-  // Saturate worker 0's SPSC ring from the pinned producer, then submit the
-  // rest from a second thread so every one of those takes the bounded MPMC
-  // overflow path (RuntimeOptions::overflow_capacity makes it exactly fit).
-  // Every completion must still fire and duplicate path misses posted from
-  // the foreign thread must coalesce without touching a queue at all.
+TEST(Runtime, SecondProducerLosesNothingAndStillCoalesces) {
+  // Two threads post into the same suspended worker.  Every completion
+  // must fire, and duplicate path misses posted from the second thread
+  // must coalesce onto the install the first thread queued, without
+  // touching the queue at all.
   CellularTopology topo({.k = 4, .seed = 1});
   std::vector<ClauseId> clauses;
-  // One shard: every request targets worker 0's queues.
+  // One shard: every request targets worker 0's queue.
   ShardBrain brain(topo, make_wire_policy(topo, 2, &clauses), {.shards = 1});
   populate(brain, 8, 2, topo.num_base_stations());
 
+  // Room for exactly the 12 queued requests (1 install + 11 fetches): the
+  // 4 coalesced duplicates never take a slot, or the suspended pool would
+  // block the second producer.
   ControlPlaneRuntime runtime(brain, {.workers = 1,
-                                     .queue_capacity = 7,  // usable ring = 7
-                                     .overflow_capacity = 8,
+                                     .queue_capacity = 12,
                                      .start_suspended = true});
   std::mutex mu;
   std::vector<PolicyTag> tags;
@@ -417,11 +435,11 @@ TEST(Runtime, OverflowSubmissionsLoseNothingAndStillCoalesce) {
     ASSERT_TRUE(runtime.post(std::move(r)));
   };
 
-  // Pinned producer: one path miss + six classifier fetches fill the ring.
+  // First producer: one path miss + six classifier fetches.
   post_path();
   for (std::uint32_t i = 0; i < 6; ++i) post_classifiers(i);
-  // Foreign thread: four duplicate misses coalesce onto the in-flight
-  // install (no enqueue), five classifier fetches land in the overflow.
+  // Second producer: four duplicate misses coalesce onto the in-flight
+  // install (no enqueue), five classifier fetches join the queue.
   std::thread other([&] {
     for (int d = 0; d < 4; ++d) post_path();
     for (std::uint32_t i = 6; i < 11; ++i) post_classifiers(i);
@@ -440,8 +458,8 @@ TEST(Runtime, OverflowSubmissionsLoseNothingAndStillCoalesce) {
   EXPECT_EQ(m.latency_count(), 16u);  // 11 fetches + 5 path completions
 }
 
-// The full-ring regression at the pipeline level: with a one-slot ring
-// and a slow completion, the dispatcher keeps finding the ring full, and
+// The full-queue regression at the pipeline level: with a one-slot queue
+// and a slow completion, the dispatcher keeps finding the queue full, and
 // every Request::done must still fire exactly once.
 TEST(Runtime, FullRingFiresEveryCompletionExactlyOnce) {
   constexpr std::uint32_t kRequests = 1000;
