@@ -32,6 +32,32 @@ struct PacketClassifier {
   std::optional<PolicyTag> tag;  // nullopt => path not installed yet
 };
 
+// Compiles a UE's classifiers: one per application type, the UE-specific
+// instantiation of the service policy (section 4.2); kOther doubles as the
+// wildcard.  tag_of(ClauseId) -> std::optional<PolicyTag> resolves an
+// allowed clause's installed path tag (nullopt if not installed yet).
+template <typename TagOf>
+std::vector<PacketClassifier> compile_classifiers(
+    const ServicePolicy& policy, const SubscriberProfile& profile,
+    TagOf&& tag_of) {
+  std::vector<PacketClassifier> out;
+  for (AppType app : {AppType::kWeb, AppType::kVideo, AppType::kVoip,
+                      AppType::kM2mTelemetry, AppType::kOther}) {
+    const PolicyClause* clause = policy.match(profile, app);
+    if (clause == nullptr) {
+      out.push_back(PacketClassifier{app, ClauseId{}, false, std::nullopt});
+      continue;
+    }
+    PacketClassifier c;
+    c.app = app;
+    c.clause = clause->id;
+    c.allow = clause->action.allow;
+    if (c.allow) c.tag = tag_of(clause->id);
+    out.push_back(c);
+  }
+  return out;
+}
+
 class ControlPlane {
  public:
   virtual ~ControlPlane() = default;

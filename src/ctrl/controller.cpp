@@ -80,24 +80,12 @@ std::vector<PacketClassifier> Controller::fetch_classifiers(
   if (!profile)
     throw std::invalid_argument("fetch_classifiers: unknown subscriber");
 
-  // One classifier per application type: the UE-specific instantiation of
-  // the service policy (section 4.2).  kOther doubles as the wildcard.
-  std::vector<PacketClassifier> out;
-  for (AppType app : {AppType::kWeb, AppType::kVideo, AppType::kVoip,
-                      AppType::kM2mTelemetry, AppType::kOther}) {
-    const PolicyClause* clause = policy_->match(*profile, app);
-    if (clause == nullptr) {
-      out.push_back(PacketClassifier{app, ClauseId{}, false, std::nullopt});
-      continue;
-    }
-    PacketClassifier c;
-    c.app = app;
-    c.clause = clause->id;
-    c.allow = clause->action.allow;
-    if (c.allow) c.tag = store_.path(clause->id, bs);  // nullopt if missing
-    out.push_back(c);
-  }
-  return out;
+  // The lambda reads the store through a reference bound under the lock
+  // held above: the capability analysis checks a lambda body on its own.
+  const ControlStore& store = store_;
+  return compile_classifiers(*policy_, *profile, [&](ClauseId clause) {
+    return store.path(clause, bs);
+  });
 }
 
 std::vector<NodeId> Controller::select_instances(std::uint32_t bs,

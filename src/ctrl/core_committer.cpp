@@ -1,5 +1,6 @@
 #include "ctrl/core_committer.hpp"
 
+#include <type_traits>
 #include <utility>
 
 #include "telemetry/stopwatch.hpp"
@@ -15,165 +16,69 @@ CoreCommitter::CoreCommitter(const CellularTopology& topo,
       ops_(telemetry::Registry::global().counter("commit.ops")),
       view_publishes_(
           telemetry::Registry::global().counter("commit.view_publishes")),
-      batch_depth_(
-          telemetry::Registry::global().histogram("commit.batch_depth")),
       apply_ns_(telemetry::Registry::global().histogram("commit.apply_ns")),
       wait_ns_(telemetry::Registry::global().histogram("commit.wait_ns")) {}
 
+template <typename Op>
+auto CoreCommitter::commit(std::size_t shard, Op&& op) {
+  telemetry::ScopedTimerNs wait_span(wait_ns_);
+  sc::LockGuard lock(mu_);
+  telemetry::ScopedTimerNs apply_span(apply_ns_);
+  std::invoke_result_t<Op, Controller&> result{};
+  try {
+    result = std::forward<Op>(op)(core_);
+  } catch (...) {
+    finish_locked(shard);
+    throw;
+  }
+  finish_locked(shard);
+  return result;
+}
+
 PolicyTag CoreCommitter::commit_path(std::size_t shard, std::uint32_t bs,
                                      ClauseId clause) {
-  Op op;
-  op.kind = Op::Kind::kPath;
-  op.shard = shard;
-  op.bs = bs;
-  op.clause = clause;
-  submit(op);
-  return op.tag;
+  return commit(shard, [&](Controller& core) {
+    return core.request_policy_path(bs, clause);
+  });
 }
 
 std::vector<PolicyTag> CoreCommitter::commit_paths(
     std::size_t shard, std::span<const Controller::PathRequest> requests) {
-  Op op;
-  op.kind = Op::Kind::kPathBatch;
-  op.shard = shard;
-  op.batch = requests;
-  submit(op);
-  return std::move(op.tags);
+  return commit(shard, [&](Controller& core) {
+    return core.request_policy_paths(requests);
+  });
 }
 
 PolicyTag CoreCommitter::commit_m2m(std::size_t shard, std::uint32_t src_bs,
                                     std::uint32_t dst_bs, ClauseId clause) {
-  Op op;
-  op.kind = Op::Kind::kM2m;
-  op.shard = shard;
-  op.bs = src_bs;
-  op.bs2 = dst_bs;
-  op.clause = clause;
-  submit(op);
-  return op.tag;
-}
-
-Controller::Migration CoreCommitter::commit_migrate(std::size_t shard,
-                                                    std::uint32_t bs,
-                                                    ClauseId clause) {
-  Op op;
-  op.kind = Op::Kind::kMigrate;
-  op.shard = shard;
-  op.bs = bs;
-  op.clause = clause;
-  submit(op);
-  return op.migration;
-}
-
-void CoreCommitter::commit_drain_old(std::size_t shard, std::uint32_t bs,
-                                     ClauseId clause, PolicyTag old_tag) {
-  Op op;
-  op.kind = Op::Kind::kDrainOld;
-  op.shard = shard;
-  op.bs = bs;
-  op.clause = clause;
-  op.old_tag = old_tag;
-  submit(op);
+  return commit(shard, [&](Controller& core) {
+    return core.request_m2m_path(src_bs, dst_bs, clause);
+  });
 }
 
 Controller::RecompactResult CoreCommitter::commit_recompact(
     std::size_t shard) {
-  Op op;
-  op.kind = Op::Kind::kRecompact;
-  op.shard = shard;
-  submit(op);
-  return op.recompacted;
+  return commit(shard, [](Controller& core) { return core.recompact(); });
 }
 
 void CoreCommitter::publish_view() {
-  // Out-of-band republish (quiescent callers).  Serialize against a live
-  // combiner by entering the queue as a no-op would -- cheapest correct
-  // form: take the combiner slot ourselves when it is free.
-  sc::UniqueLock lock(mu_);
-  cv_.wait(lock, [&]() SC_REQUIRES(mu_) { return !combiner_active_; });
-  combiner_active_ = true;
-  lock.unlock();
+  sc::LockGuard lock(mu_);
+  publish_locked();
+}
+
+void CoreCommitter::finish_locked(std::size_t shard) {
+  if (observer_) observer_(shard, seq_);
+  ++seq_;
+  // Failed ops publish too: the core may have partially advanced (batch
+  // variant) and the view must never lag applied state.
+  publish_locked();
+  batches_.add(1);
+  ops_.add(1);
+}
+
+void CoreCommitter::publish_locked() {
   view_.update(core_.export_path_view(++publishes_));
   view_publishes_.add(1);
-  lock.lock();
-  combiner_active_ = false;
-  cv_.notify_all();
-}
-
-void CoreCommitter::apply(Op& op) {
-  try {
-    switch (op.kind) {
-      case Op::Kind::kPath:
-        op.tag = core_.request_policy_path(op.bs, op.clause);
-        break;
-      case Op::Kind::kPathBatch:
-        op.tags = core_.request_policy_paths(op.batch);
-        break;
-      case Op::Kind::kM2m:
-        op.tag = core_.request_m2m_path(op.bs, op.bs2, op.clause);
-        break;
-      case Op::Kind::kMigrate:
-        op.migration = core_.migrate_path(op.bs, op.clause);
-        break;
-      case Op::Kind::kDrainOld:
-        core_.drain_old_path(op.bs, op.clause, op.old_tag);
-        break;
-      case Op::Kind::kRecompact:
-        op.recompacted = core_.recompact();
-        break;
-    }
-  } catch (...) {
-    op.error = std::current_exception();
-  }
-}
-
-void CoreCommitter::submit(Op& op) {
-  const std::uint64_t enqueued_at = telemetry::steady_now_ns();
-  sc::UniqueLock lock(mu_);
-  queue_.push_back(&op);
-  for (;;) {
-    cv_.wait(lock, [&]() SC_REQUIRES(mu_) {
-      return op.done || !combiner_active_;
-    });
-    if (op.done) break;
-
-    // Become the combiner: drain arrival batches until the queue is empty.
-    // Our own op is still queued, so at least one iteration runs and we
-    // leave this block with op.done == true.
-    combiner_active_ = true;
-    while (!queue_.empty()) {
-      std::vector<Op*> batch(queue_.begin(), queue_.end());
-      queue_.clear();
-      lock.unlock();
-
-      {
-        telemetry::ScopedTimerNs apply_span(apply_ns_);
-        for (Op* queued : batch) {
-          apply(*queued);
-          if (observer_) observer_(queued->shard, seq_);
-          ++seq_;
-        }
-        // Publish the view covering this whole batch BEFORE releasing any
-        // waiter (read-your-writes: a submitter that returns with a tag
-        // must find it in every snapshot loaded afterwards).  Failed ops
-        // publish too -- the core may have partially advanced (batch
-        // variant) and the view must never lag applied state.
-        view_.update(core_.export_path_view(++publishes_));
-      }
-      view_publishes_.add(1);
-      batches_.add(1);
-      ops_.add(batch.size());
-      batch_depth_.record(batch.size());
-
-      lock.lock();
-      for (Op* queued : batch) queued->done = true;
-      cv_.notify_all();
-    }
-    combiner_active_ = false;
-    cv_.notify_all();
-  }
-  wait_ns_.record(telemetry::steady_now_ns() - enqueued_at);
-  if (op.error) std::rethrow_exception(op.error);
 }
 
 }  // namespace softcell

@@ -1,34 +1,33 @@
-// CoreCommitter: the single-writer commit stage of the shard-brain split.
+// CoreCommitter: the commit stage of the shard-brain split.
 //
 // Cross-shard installs -- shared core/gateway switch rows, tag allocation,
-// path migrations -- are inherently global: they mutate one rule universe
-// that every shard's flows traverse.  Instead of letting N shards contend
-// on the core controller's writer lock, the committer serializes them
-// through a flat-combining queue:
-//
-//   shard thread: enqueue op -> (wait | become the combiner)
-//   combiner:     drain the queue in arrival batches, apply each op to the
-//                 core Controller, publish a fresh PathView snapshot, THEN
-//                 mark the batch's ops done and wake their waiters
+// recompaction -- mutate the one rule universe every shard's flows
+// traverse.  One mutex is held across the whole commit: apply the op to
+// the core Controller, call the commit observer, publish the next PathView.
 //
 // Ordering rules (DESIGN.md section 16):
-//   * total order -- ops apply in one global arrival order; ops from one
+//   * total order -- ops apply in mutex-acquisition order; ops from one
 //     shard (issued sequentially, as the runtime's per-shard FIFO
 //     guarantees) therefore apply in issue order;
 //   * publish-before-complete -- the PathView including an op's effect is
-//     published before the op's submitter is released, so a requester that
-//     observed its own tag will find it in every snapshot loaded
-//     afterwards (no read-your-writes anomaly);
+//     published before the lock is released and the call returns, so a
+//     requester that observed its own tag will find it in every snapshot
+//     loaded afterwards (no read-your-writes anomaly);
 //   * exactly-once install -- the core re-checks its installed map under
 //     its own lock, so duplicate (bs, clause) ops arriving from different
 //     shards collapse to one install and all return the same tag.
+//
+// An op that throws still gets its sequence number, its observer call and
+// a republished view (the core may have partially advanced) before the
+// error propagates to the caller.  Every op is its own batch, so
+// commit.batches equals commit.ops; commit.wait_ns spans the whole call
+// (lock wait included), commit.apply_ns the part under the lock.
 //
 // Readers never enter this file: they resolve tags against the PathView
 // RCU snapshot (view()), which stays valid for as long as they hold it.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
@@ -49,19 +48,19 @@ class CoreCommitter {
                 ControllerOptions options);
 
   // --- commit API (blocking; any thread) ------------------------------------
-  // Each call enqueues one op and returns once it has been applied and the
-  // view including it published.  Errors thrown by the core (policy
-  // denial, path rejection) re-throw in the submitting thread.
-  PolicyTag commit_path(std::size_t shard, std::uint32_t bs, ClauseId clause);
+  // Each call returns once its op has been applied and the view including
+  // it published.  Errors thrown by the core (policy denial, path
+  // rejection) propagate to the caller.
+  PolicyTag commit_path(std::size_t shard, std::uint32_t bs, ClauseId clause)
+      SC_EXCLUDES(mu_);
   std::vector<PolicyTag> commit_paths(
-      std::size_t shard, std::span<const Controller::PathRequest> requests);
+      std::size_t shard, std::span<const Controller::PathRequest> requests)
+      SC_EXCLUDES(mu_);
   PolicyTag commit_m2m(std::size_t shard, std::uint32_t src_bs,
-                       std::uint32_t dst_bs, ClauseId clause);
-  Controller::Migration commit_migrate(std::size_t shard, std::uint32_t bs,
-                                       ClauseId clause);
-  void commit_drain_old(std::size_t shard, std::uint32_t bs, ClauseId clause,
-                        PolicyTag old_tag);
-  Controller::RecompactResult commit_recompact(std::size_t shard);
+                       std::uint32_t dst_bs, ClauseId clause)
+      SC_EXCLUDES(mu_);
+  Controller::RecompactResult commit_recompact(std::size_t shard)
+      SC_EXCLUDES(mu_);
 
   // --- the RCU read side ----------------------------------------------------
   [[nodiscard]] std::shared_ptr<const PathView> view() const {
@@ -71,7 +70,7 @@ class CoreCommitter {
   // Re-derives and publishes the view from the core's current state.  For
   // quiescent out-of-band core mutations (recovery wiring, direct core()
   // use in single-threaded harness code); commits republish on their own.
-  void publish_view();
+  void publish_view() SC_EXCLUDES(mu_);
 
   // The shared core controller (rule universe, tag namespace, installed
   // path maps).  Mutating it directly while commits are in flight bypasses
@@ -80,10 +79,10 @@ class CoreCommitter {
   [[nodiscard]] Controller& core() { return core_; }
   [[nodiscard]] const Controller& core() const { return core_; }
 
-  // Test hook: invoked once per applied op, in the global apply order,
-  // with the submitting shard and the op's commit sequence number.  Runs
-  // on whichever thread is combining; the observer must be thread-safe.
-  // Set before concurrent use.
+  // Test hook: invoked once per applied op, failed ops included, in the
+  // global apply order, with the submitting shard and the op's commit
+  // sequence number.  Runs on the committing thread under the stage lock;
+  // it must not call back into the committer.  Set before concurrent use.
   using CommitObserver =
       std::function<void(std::size_t shard, std::uint64_t seq)>;
   void set_commit_observer(CommitObserver observer) {
@@ -91,55 +90,27 @@ class CoreCommitter {
   }
 
  private:
-  struct Op {
-    enum class Kind : std::uint8_t {
-      kPath,
-      kPathBatch,
-      kM2m,
-      kMigrate,
-      kDrainOld,
-      kRecompact,
-    };
-    Kind kind = Kind::kPath;
-    std::size_t shard = 0;
-    std::uint32_t bs = 0;
-    std::uint32_t bs2 = 0;  // kM2m destination
-    ClauseId clause{};
-    PolicyTag old_tag{};                                // kDrainOld
-    std::span<const Controller::PathRequest> batch{};   // kPathBatch
-    // Results (written by the combiner, read by the submitter after done).
-    PolicyTag tag{};
-    std::vector<PolicyTag> tags;
-    Controller::Migration migration{};
-    Controller::RecompactResult recompacted{};
-    std::exception_ptr error;
-    bool done = false;
-  };
-
-  // Enqueues, combines or waits, re-throws the op's error.  On return the
-  // op has been applied and a view including it published.
-  void submit(Op& op) SC_EXCLUDES(mu_);
-  // Applies one op to the core (combiner only, no lock held -- the core
-  // has its own).
-  void apply(Op& op);
+  // Runs op(core_) under mu_ and finishes the commit, on the error path
+  // too, before returning its result or rethrowing its error.
+  template <typename Op>
+  auto commit(std::size_t shard, Op&& op) SC_EXCLUDES(mu_);
+  // Observer call, sequence bump and view publish for the op just applied.
+  void finish_locked(std::size_t shard) SC_REQUIRES(mu_);
+  void publish_locked() SC_REQUIRES(mu_);
 
   Controller core_;
   VersionedSnapshot<PathView> view_;
 
   sc::Mutex mu_;
-  sc::CondVar cv_;
-  std::deque<Op*> queue_ SC_GUARDED_BY(mu_);
-  bool combiner_active_ SC_GUARDED_BY(mu_) = false;
-  CommitObserver observer_;         // set before concurrent use
-  std::uint64_t seq_ = 0;           // combiner thread only
-  std::uint64_t publishes_ = 0;     // combiner thread only
+  CommitObserver observer_;  // set before concurrent use
+  std::uint64_t seq_ SC_GUARDED_BY(mu_) = 0;
+  std::uint64_t publishes_ SC_GUARDED_BY(mu_) = 0;
 
-  // Commit-stage depth/latency series (telemetry registry, see DESIGN.md
+  // Commit-stage latency series (telemetry registry, see DESIGN.md
   // section 16): refs are stable for the registry's lifetime.
   telemetry::Counter& batches_;
   telemetry::Counter& ops_;
   telemetry::Counter& view_publishes_;
-  telemetry::Histogram& batch_depth_;
   telemetry::Histogram& apply_ns_;
   telemetry::Histogram& wait_ns_;
 };

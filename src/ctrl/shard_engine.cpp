@@ -47,29 +47,14 @@ std::vector<PacketClassifier> ShardEngine::fetch_classifiers(
   if (!profile)
     throw std::invalid_argument("fetch_classifiers: unknown subscriber");
 
-  // Byte-for-byte the legacy compilation (Controller::fetch_classifiers),
-  // except the tag comes from the RCU path view instead of the store's
-  // path map -- the two are definitionally equal (both written only by the
-  // install/migrate/recompact paths, and the committer republishes before
-  // completing any of them).
-  std::vector<PacketClassifier> out;
-  for (AppType app : {AppType::kWeb, AppType::kVideo, AppType::kVoip,
-                      AppType::kM2mTelemetry, AppType::kOther}) {
-    const PolicyClause* clause = policy_->match(*profile, app);
-    if (clause == nullptr) {
-      out.push_back(PacketClassifier{app, ClauseId{}, false, std::nullopt});
-      continue;
-    }
-    PacketClassifier c;
-    c.app = app;
-    c.clause = clause->id;
-    c.allow = clause->action.allow;
-    if (c.allow) {
-      if (const PolicyTag* tag = view.path(clause->id, bs)) c.tag = *tag;
-    }
-    out.push_back(c);
-  }
-  return out;
+  // The tag comes from the RCU path view instead of a store path map: the
+  // committer republishes the view before completing any install,
+  // migration or recompaction, so the two are definitionally equal.
+  return compile_classifiers(
+      *policy_, *profile, [&](ClauseId clause) -> std::optional<PolicyTag> {
+        if (const PolicyTag* tag = view.path(clause, bs)) return *tag;
+        return std::nullopt;
+      });
 }
 
 void ShardEngine::set_policy(std::shared_ptr<const ServicePolicy> policy) {

@@ -7,7 +7,7 @@
 // compilation) on the base-station side, owned by one ShardEngine each,
 // while the shared core/gateway switch rows and the tag namespace live in
 // the single-writer CoreCommitter.  The committer publishes a fresh
-// PathView after every commit batch; shard-side readers resolve classifier
+// PathView after every commit; shard-side readers resolve classifier
 // tags against whatever snapshot they loaded, without ever touching the
 // core's lock.
 //

@@ -92,16 +92,7 @@ struct MetricsSnapshot {
   // Quantile in [0, 1]; returns the upper bound of the bucket holding the
   // q-th sample (nearest-rank over the histogram), 0 if empty.
   [[nodiscard]] std::uint64_t latency_quantile_ns(double q) const {
-    const std::uint64_t total = latency_count();
-    if (total == 0) return 0;
-    auto rank = static_cast<std::uint64_t>(q * static_cast<double>(total));
-    if (rank >= total) rank = total - 1;
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < latency_buckets.size(); ++i) {
-      seen += latency_buckets[i];
-      if (seen > rank) return LatencyHistogram::bucket_upper(i);
-    }
-    return LatencyHistogram::bucket_upper(latency_buckets.size() - 1);
+    return telemetry::histogram_quantile_upper(latency_buckets, q);
   }
 
   // Publishes the snapshot into a telemetry sink: runtime counters under

@@ -11,10 +11,9 @@
 //     cross-shard locks;
 //   * shared core state (policy paths, m2m half-paths, the tag namespace
 //     and the core/gateway switch rows) lives on ONE core Controller owned
-//     by the CoreCommitter, which serializes cross-shard installs through
-//     a single-writer flat-combining commit stage and publishes the
-//     resulting (clause, bs) -> tag map to readers as RCU PathView
-//     snapshots;
+//     by the CoreCommitter, which serializes cross-shard installs under
+//     one commit-stage mutex and publishes the resulting (clause, bs) ->
+//     tag map to readers as RCU PathView snapshots;
 //   * the read path (fetch_classifiers) never touches the core lock: it
 //     loads the current PathView and compiles against the shard's own
 //     store.
@@ -124,7 +123,6 @@ class ShardBrain final : public ControlPlane, public ControlBrain {
   // forwarding walk here.
   [[nodiscard]] Controller& core() { return committer_.core(); }
   [[nodiscard]] const Controller& core() const { return committer_.core(); }
-  [[nodiscard]] CoreCommitter& committer() { return committer_; }
   [[nodiscard]] std::shared_ptr<const PathView> path_view() const {
     return committer_.view();
   }

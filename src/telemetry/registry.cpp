@@ -10,8 +10,7 @@ std::uint64_t histogram_quantile_upper(std::span<const std::uint64_t> buckets,
   std::uint64_t total = 0;
   for (std::uint64_t b : buckets) total += b;
   if (total == 0) return 0;
-  // Nearest-rank, matching MetricsSnapshot::latency_quantile_ns so the
-  // exported quantiles agree with the runtime's own accessors.
+  // Nearest-rank.
   auto rank = static_cast<std::uint64_t>(q * static_cast<double>(total));
   if (rank >= total) rank = total - 1;
   std::uint64_t seen = 0;

@@ -1,7 +1,7 @@
 // Commit-stage concurrency stress (run under -DSOFTCELL_SANITIZE=thread by
-// tier1.sh): threads race cross-shard installs through the flat-combining
-// CoreCommitter while readers spin on the RCU PathView.  Asserts the three
-// ordering rules DESIGN.md section 16 promises:
+// tier1.sh): threads race cross-shard installs through the CoreCommitter's
+// one stage mutex while readers spin on the RCU PathView.  Asserts the
+// three ordering rules DESIGN.md section 16 promises:
 //
 //   * total order  -- the commit observer sees strictly increasing
 //     sequence numbers, one per applied op, no op lost or duplicated;
@@ -9,11 +9,15 @@
 //     returns always contains the committed tag;
 //   * exactly-once install -- racing duplicates of the same (bs, clause)
 //     resolve to one tag and one core install.
+//
+// Plus the error path: an op that throws still takes a sequence number and
+// republishes the view before its error reaches the caller.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -41,9 +45,8 @@ TEST(CommitStageStress, RacingInstallsKeepTotalOrderAndNoLostOps) {
   ASSERT_GE(clauses.size(), 2u);
   CoreCommitter committer(topo, policy, {});
 
-  // Observer log: the combiner invokes it once per applied op.  Combiner
-  // handoff is serialized by the stage's own mutex, so a plain vector
-  // under a test mutex is enough for the log itself.
+  // Observer log: the committer invokes it once per applied op, under its
+  // stage mutex; the test mutex guards the log against the final reads.
   struct Observed {
     std::size_t shard;
     std::uint64_t seq;
@@ -117,6 +120,32 @@ TEST(CommitStageStress, RacingInstallsKeepTotalOrderAndNoLostOps) {
     }
   }
   EXPECT_EQ(committer.core().path_installs(), keys.size());
+}
+
+TEST(CommitStageStress, FailedOpTakesSeqRepublishesAndRethrows) {
+  CellularTopology topo({.k = 4, .seed = 3});
+  auto policy = std::make_shared<const ServicePolicy>(make_table1_policy());
+  const auto clauses = distinct_clauses(*policy);
+  CoreCommitter committer(topo, policy, {});
+  std::vector<std::uint64_t> seqs;
+  committer.set_commit_observer(
+      [&](std::size_t, std::uint64_t seq) { seqs.push_back(seq); });
+
+  const std::uint64_t version_before = committer.view()->version;
+  EXPECT_THROW(committer.commit_path(0, 0, ClauseId(9999)),
+               std::out_of_range);
+  ASSERT_EQ(seqs.size(), 1u);  // the failed op's seq reached the observer
+  EXPECT_GT(committer.view()->version, version_before);
+
+  // The stage is not wedged: the next op on the same committer commits
+  // and its tag is in the published view.
+  const PolicyTag tag = committer.commit_path(0, 0, clauses.front());
+  ASSERT_EQ(seqs.size(), 2u);
+  EXPECT_LT(seqs[0], seqs[1]);
+  const auto view = committer.view();
+  const PolicyTag* seen = view->path(clauses.front(), 0);
+  ASSERT_NE(seen, nullptr);
+  EXPECT_EQ(*seen, tag);
 }
 
 TEST(CommitStageStress, BrainReadersRaceCommitsWithoutTearing) {

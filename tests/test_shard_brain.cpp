@@ -1,5 +1,5 @@
 // Shard-brain proof corpus (DESIGN.md section 16): the partitioned brain
-// (per-shard UE state + one shared core behind the flat-combining commit
+// (per-shard UE state + one shared core behind the one-mutex commit
 // stage) must stay OBSERVABLY identical to the per-shard-clone controller
 // and node-map storage layout it replaced.  Those are gone; their verdicts
 // live on as golden digests recorded while every mode still existed and

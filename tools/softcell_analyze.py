@@ -19,8 +19,7 @@ linter (softcell_lint.py) fundamentally cannot express:
   lock-order-cycle        extracts sc:: guard acquisitions per function,
                           builds the inter-procedural acquisition graph
                           (modelling mid-scope unlock()/lock() on
-                          UniqueLock -- the CoreCommitter choreography),
-                          and fails on any cycle whose edges are not all
+                          UniqueLock), and fails on any cycle whose edges are not all
                           declared in tools/lock_order.txt.
 
 Exit codes:

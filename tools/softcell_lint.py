@@ -64,8 +64,8 @@ section 12, "Static guarantees"):
                     owns the commit stage, marked with
                     `// sc-lint: commit-owner(...)`.  Since the shard-brain
                     split (DESIGN.md section 16), every cross-shard install
-                    is serialized through the CoreCommitter's single-writer
-                    combiner; a direct engine mutation elsewhere slips rows
+                    is serialized under the CoreCommitter's stage mutex;
+                    a direct engine mutation elsewhere slips rows
                     past that total order, so the published PathView
                     snapshots and the state fingerprint silently diverge
                     from the table.  Reads (lookup, stats, classifiers)
