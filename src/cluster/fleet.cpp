@@ -116,6 +116,15 @@ void ControllerFleet::rebuild_partition_locked(std::size_t r,
   if (!query_) return;
   query_([&](UeId ue, UeLocation loc) {
     if (partition_of_locked(loc.bs) != partition) return;
+    // An agent can be ahead of the fleet: a UE the fleet still places in
+    // another partition has moved here, so that partition's holder must
+    // forget it, as in a cross-partition update_location().
+    if (const auto it = ue_bs_.find(ue); it != ue_bs_.end()) {
+      const std::optional<std::size_t> prev =
+          leases_[partition_of_locked(it->second)].owner;
+      if (prev && *prev != r && eligible_locked(*prev))
+        replicas_[*prev]->detach_ue(ue);
+    }
     replicas_[r]->update_location(ue, loc.bs, loc.local);
     ue_bs_[ue] = loc.bs;
     ++stats_.rebuilt_locations;

@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 
 #include "telemetry/trace.hpp"
 
 // sc-lint: commit-owner(Controller) -- the switch-table engine is mutated
 // only here; every cross-shard install reaches these call sites through
 // the CoreCommitter's single-writer commit stage (DESIGN.md section 16),
-// which is what keeps the published PathView snapshots and the state
+// which is what keeps the installed-path tag maps and the state
 // fingerprint in step with the table.
 
 namespace softcell {
@@ -188,13 +189,15 @@ Controller::InstalledPath Controller::install_path_locked(
 
 PolicyTag Controller::request_policy_path_locked(std::uint32_t bs,
                                                  ClauseId clause) {
-  const SlowState::PathKey key{clause, bs};
-  if (const InstalledPath* p = installed_.find(key)) return p->tag;
+  if (const auto tag = path_tag(clause, bs)) return *tag;
 
   std::optional<PolicyTag> hint;
   if (const PolicyTag* h = clause_hints_.find(clause)) hint = *h;
   const auto path = install_path_locked(bs, clause, hint);
-  installed_.try_emplace(key, path);
+  {
+    sc::WriteLock paths_lock(paths_mu_);
+    installed_.try_emplace(SlowState::PathKey{clause, bs}, path);
+  }
   clause_hints_[clause] = path.tag;
   store_.put_path(clause, bs, path.tag);
   return path.tag;
@@ -231,8 +234,7 @@ PolicyTag Controller::request_m2m_path(std::uint32_t src_bs,
                                        std::uint32_t dst_bs,
                                        ClauseId clause) {
   sc::WriteLock lock(mu_);
-  const M2mKey key{clause, src_bs, dst_bs};
-  if (const PolicyTag* tag = m2m_installed_.find(key)) return *tag;
+  if (const auto tag = m2m_tag(clause, src_bs, dst_bs)) return *tag;
 
   // Both directions of a connection must traverse the same middlebox
   // instances (section 2.1), so instance selection is symmetric in the
@@ -248,7 +250,8 @@ PolicyTag Controller::request_m2m_path(std::uint32_t src_bs,
   const auto r =
       engine_.install(path, dst_bs, topo_->bs_prefix(dst_bs), std::nullopt);
   ++path_installs_;
-  m2m_installed_.try_emplace(key, r.tag);
+  sc::WriteLock paths_lock(paths_mu_);
+  m2m_installed_.try_emplace(M2mKey{clause, src_bs, dst_bs}, r.tag);
   return r.tag;
 }
 
@@ -256,10 +259,15 @@ Controller::Migration Controller::migrate_path(std::uint32_t bs,
                                                ClauseId clause) {
   sc::WriteLock lock(mu_);
   const SlowState::PathKey key{clause, bs};
-  InstalledPath* found = installed_.find(key);
-  if (found == nullptr)
-    throw std::invalid_argument("migrate_path: path not installed");
-  const PolicyTag old_tag = found->tag;
+  InstalledPath old;
+  {
+    sc::ReadLock paths_lock(paths_mu_);
+    const InstalledPath* found = std::as_const(installed_).find(key);
+    if (found == nullptr)
+      throw std::invalid_argument("migrate_path: path not installed");
+    old = *found;
+  }
+  const PolicyTag old_tag = old.tag;
 
   // Phase 1: install the new version under a fresh tag.  Forcing "no hint"
   // is not enough (the engine may legally reuse any tag not used by this
@@ -267,14 +275,15 @@ Controller::Migration Controller::migrate_path(std::uint32_t bs,
   // the old path still holds the tag at this bs, so the engine cannot pick
   // it again.
   const auto fresh = install_path_locked(bs, clause, std::nullopt);
-  // Phase 2: flip what new flows see (classifier tag in the store).
+  // Phase 2: flip what new flows see -- the classifier tag in the store and
+  // the installed entry path_tag() readers resolve.
   store_.put_path(clause, bs, fresh.tag);
-  // Old rules stay installed until drained (phase 3, drain_old_path).
-  // `found` stays valid across install_path_locked: slab values have stable
-  // addresses and installed_ itself was not touched.
-  InstalledPath old = *found;
-  *found = fresh;
+  {
+    sc::WriteLock paths_lock(paths_mu_);
+    *installed_.find(key) = fresh;
+  }
   clause_hints_[clause] = fresh.tag;
+  // Old rules stay installed until drained (phase 3, drain_old_path).
   draining_.try_emplace(DrainKey{key, old_tag}, old);
   if (listener_) listener_(bs, clause, fresh.tag);
   return Migration{old_tag, fresh.tag};
@@ -303,18 +312,21 @@ Controller::RecompactResult Controller::recompact() {
 
   // Clause-major order maximizes tag sharing on the rebuild.
   std::vector<SlowState::PathKey> keys;
-  keys.reserve(installed_.size());
-  installed_.for_each(
-      [&](const SlowState::PathKey& key, const InstalledPath&) {
-        keys.push_back(key);
-      });
+  std::vector<M2mKey> m2m_keys;
+  {
+    sc::ReadLock paths_lock(paths_mu_);
+    keys.reserve(installed_.size());
+    installed_.for_each(
+        [&](const SlowState::PathKey& key, const InstalledPath&) {
+          keys.push_back(key);
+        });
+    m2m_keys.reserve(m2m_installed_.size());
+    m2m_installed_.for_each(
+        [&](const M2mKey& key, const PolicyTag&) { m2m_keys.push_back(key); });
+  }
   std::sort(keys.begin(), keys.end(), [](const auto& a, const auto& b) {
     return std::tie(a.clause, a.bs) < std::tie(b.clause, b.bs);
   });
-  std::vector<M2mKey> m2m_keys;
-  m2m_keys.reserve(m2m_installed_.size());
-  m2m_installed_.for_each(
-      [&](const M2mKey& key, const PolicyTag&) { m2m_keys.push_back(key); });
   std::sort(m2m_keys.begin(), m2m_keys.end(),
             [](const auto& a, const auto& b) {
               return std::tie(a.clause, a.src, a.dst) <
@@ -322,9 +334,13 @@ Controller::RecompactResult Controller::recompact() {
             });
 
   engine_ = AggregationEngine(topo_->graph(), options_.engine);
-  installed_.clear();
+  {
+    // Readers see each key absent from here until it is reinstalled below.
+    sc::WriteLock paths_lock(paths_mu_);
+    installed_.clear();
+    m2m_installed_.clear();
+  }
   clause_hints_.clear();
-  m2m_installed_.clear();
   selected_.clear();
   instance_load_.clear();
 
@@ -332,7 +348,10 @@ Controller::RecompactResult Controller::recompact() {
     std::optional<PolicyTag> hint;
     if (const PolicyTag* h = clause_hints_.find(key.clause)) hint = *h;
     const auto path = install_path_locked(key.bs, key.clause, hint);
-    installed_.try_emplace(key, path);
+    {
+      sc::WriteLock paths_lock(paths_mu_);
+      installed_.try_emplace(key, path);
+    }
     clause_hints_[key.clause] = path.tag;
     store_.put_path(key.clause, key.bs, path.tag);
     if (listener_) listener_(key.bs, key.clause, path.tag);
@@ -346,6 +365,7 @@ Controller::RecompactResult Controller::recompact() {
                                       topo_->access_switch(key.dst));
     const auto r = engine_.install(path, key.dst, topo_->bs_prefix(key.dst),
                                    std::nullopt);
+    sc::WriteLock paths_lock(paths_mu_);
     m2m_installed_.try_emplace(key, r.tag);
   }
 
@@ -354,8 +374,27 @@ Controller::RecompactResult Controller::recompact() {
   return result;
 }
 
+std::optional<PolicyTag> Controller::path_tag(ClauseId clause,
+                                              std::uint32_t bs) const {
+  sc::ReadLock paths_lock(paths_mu_);
+  if (const InstalledPath* p = installed_.find(SlowState::PathKey{clause, bs}))
+    return p->tag;
+  return std::nullopt;
+}
+
+std::optional<PolicyTag> Controller::m2m_tag(ClauseId clause,
+                                             std::uint32_t src_bs,
+                                             std::uint32_t dst_bs) const {
+  sc::ReadLock paths_lock(paths_mu_);
+  if (const PolicyTag* tag =
+          m2m_installed_.find(M2mKey{clause, src_bs, dst_bs}))
+    return *tag;
+  return std::nullopt;
+}
+
 Controller::MemoryFootprint Controller::memory_footprint() const {
   sc::ReadLock lock(mu_);
+  sc::ReadLock paths_lock(paths_mu_);
   MemoryFootprint m;
   m.store_primary = store_.primary_bytes_resident();
   m.store_total = store_.bytes_resident();
@@ -381,6 +420,7 @@ struct Fnv {
 std::uint64_t Controller::state_fingerprint(std::uint64_t fold_store_writes,
                                             std::uint64_t fold_attached) const {
   sc::ReadLock lock(mu_);
+  sc::ReadLock paths_lock(paths_mu_);
   Fnv f;
 
   // Installed gateway paths, canonical order.
@@ -445,26 +485,6 @@ std::uint64_t Controller::state_fingerprint(std::uint64_t fold_store_writes,
   f.mix(draining_.size());
   f.mix(path_installs_);
   return f.h;
-}
-
-std::shared_ptr<const PathView> Controller::export_path_view(
-    std::uint64_t version) const {
-  sc::ReadLock lock(mu_);
-  auto view = std::make_shared<PathView>();
-  view->version = version;
-  view->paths.reserve(installed_.size());
-  installed_.for_each(
-      [&](const SlowState::PathKey& key, const InstalledPath& p) {
-        view->paths.try_emplace(PathView::key(key.clause, key.bs), p.tag);
-      });
-  view->m2m.reserve(m2m_installed_.size());
-  m2m_installed_.for_each([&](const M2mKey& key, const PolicyTag& tag) {
-    view->m2m.try_emplace(
-        PathView::M2mKey{key.clause.value(), key.src, key.dst}, tag);
-  });
-  view->core_rules = engine_.total_rules();
-  view->core_tags = engine_.tags_in_use();
-  return view;
 }
 
 void Controller::fail_primary_replica() {

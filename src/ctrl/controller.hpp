@@ -17,7 +17,8 @@
 //   * Every mutating entry point takes the controller's writer lock; the
 //     read-mostly hot paths (fetch_classifiers, ue_location,
 //     select_instances, instance_load, path_installs) take the reader
-//     lock.  All of them may be called concurrently from any thread.
+//     lock; path_tag/m2m_tag take only the path-map leaf lock.  All of
+//     them may be called concurrently from any thread.
 //   * The service policy is held as an immutable shared snapshot
 //     (shared_ptr<const ServicePolicy>).  policy() returns a reference
 //     into the *current* snapshot -- valid until the next set_policy();
@@ -42,7 +43,6 @@
 #include "core/engine.hpp"
 #include "ctrl/control_plane.hpp"
 #include "ctrl/store.hpp"
-#include "dataplane/path_view.hpp"
 #include "mem/slab_map.hpp"
 #include "policy/policy.hpp"
 #include "topo/cellular.hpp"
@@ -247,16 +247,19 @@ class Controller : public ControlPlane {
       std::uint64_t fold_store_writes = 0,
       std::uint64_t fold_attached = 0) const SC_EXCLUDES(mu_);
 
-  // Snapshot of the installed (clause, bs) -> tag and m2m half-path maps as
-  // an immutable PathView -- the commit stage publishes this to shard-side
-  // classifier readers after every batch (RCU; see dataplane/path_view.hpp).
-  // The view's tag map is definitionally equal to the store's path map:
-  // both are written only by request_policy_path/migrate_path/recompact
-  // under the writer lock.
-  // `version` stamps the snapshot (the committer passes its publish
-  // counter); callers that only want the maps can leave it 0.
-  [[nodiscard]] std::shared_ptr<const PathView> export_path_view(
-      std::uint64_t version = 0) const SC_EXCLUDES(mu_);
+  // Tag lookups for shard-side readers (ShardEngine::fetch_classifiers,
+  // ShardBrain's warm-hit checks): the installed (clause, bs) path's tag
+  // and the (clause, src, dst) m2m half-path's tag, nullopt if absent.
+  // Each takes only paths_mu_, shared -- never mu_ -- so readers do not
+  // wait behind an Algorithm-1 install, which runs under mu_ alone.  A
+  // reader racing recompact() may see a key absent until it is reinstalled.
+  [[nodiscard]] std::optional<PolicyTag> path_tag(ClauseId clause,
+                                                  std::uint32_t bs) const
+      SC_EXCLUDES(paths_mu_);
+  [[nodiscard]] std::optional<PolicyTag> m2m_tag(ClauseId clause,
+                                                 std::uint32_t src_bs,
+                                                 std::uint32_t dst_bs) const
+      SC_EXCLUDES(paths_mu_);
 
   // The middlebox instances serving the (clause, bs) path.  Once a path is
   // installed its selection is memoized, so mobility and verification always
@@ -301,8 +304,12 @@ class Controller : public ControlPlane {
   ControlStore store_ SC_GUARDED_BY(mu_);
 
   mutable sc::SharedMutex mu_;
+  // Leaf lock over the two installed-path maps.  Writers already hold mu_
+  // and take paths_mu_ exclusively only around the O(1) map writes, never
+  // across install_path_locked, the engine op sink or the listener.
+  mutable sc::SharedMutex paths_mu_;
   mem::SlabMap<SlowState::PathKey, InstalledPath, SlowState::PathKeyHash>
-      installed_ SC_GUARDED_BY(mu_);
+      installed_ SC_GUARDED_BY(paths_mu_);
   struct M2mKey {
     ClauseId clause;
     std::uint32_t src = 0;
@@ -317,7 +324,7 @@ class Controller : public ControlPlane {
     }
   };
   mem::SlabMap<M2mKey, PolicyTag, M2mKeyHash> m2m_installed_
-      SC_GUARDED_BY(mu_);
+      SC_GUARDED_BY(paths_mu_);
   // Per-clause tag hints so new base stations try the clause's tag first.
   mem::SlabMap<ClauseId, PolicyTag> clause_hints_ SC_GUARDED_BY(mu_);
   // Old path versions kept alive while their flows drain (migrate_path).

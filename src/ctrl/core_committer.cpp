@@ -11,11 +11,8 @@ CoreCommitter::CoreCommitter(const CellularTopology& topo,
                              std::shared_ptr<const ServicePolicy> policy,
                              ControllerOptions options)
     : core_(topo, std::move(policy), options),
-      view_(std::make_shared<const PathView>()),
       batches_(telemetry::Registry::global().counter("commit.batches")),
       ops_(telemetry::Registry::global().counter("commit.ops")),
-      view_publishes_(
-          telemetry::Registry::global().counter("commit.view_publishes")),
       apply_ns_(telemetry::Registry::global().histogram("commit.apply_ns")),
       wait_ns_(telemetry::Registry::global().histogram("commit.wait_ns")) {}
 
@@ -61,24 +58,11 @@ Controller::RecompactResult CoreCommitter::commit_recompact(
   return commit(shard, [](Controller& core) { return core.recompact(); });
 }
 
-void CoreCommitter::publish_view() {
-  sc::LockGuard lock(mu_);
-  publish_locked();
-}
-
 void CoreCommitter::finish_locked(std::size_t shard) {
   if (observer_) observer_(shard, seq_);
   ++seq_;
-  // Failed ops publish too: the core may have partially advanced (batch
-  // variant) and the view must never lag applied state.
-  publish_locked();
   batches_.add(1);
   ops_.add(1);
-}
-
-void CoreCommitter::publish_locked() {
-  view_.update(core_.export_path_view(++publishes_));
-  view_publishes_.add(1);
 }
 
 }  // namespace softcell

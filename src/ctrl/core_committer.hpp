@@ -3,28 +3,27 @@
 // Cross-shard installs -- shared core/gateway switch rows, tag allocation,
 // recompaction -- mutate the one rule universe every shard's flows
 // traverse.  One mutex is held across the whole commit: apply the op to
-// the core Controller, call the commit observer, publish the next PathView.
+// the core Controller, then call the commit observer.
 //
 // Ordering rules (DESIGN.md section 16):
 //   * total order -- ops apply in mutex-acquisition order; ops from one
 //     shard (issued sequentially, as the runtime's per-shard FIFO
 //     guarantees) therefore apply in issue order;
-//   * publish-before-complete -- the PathView including an op's effect is
-//     published before the lock is released and the call returns, so a
-//     requester that observed its own tag will find it in every snapshot
-//     loaded afterwards (no read-your-writes anomaly);
+//   * written-before-complete -- the core writes an op's tag into its
+//     installed-path map before the call returns, so a requester that
+//     observed its own tag finds it in every later Controller::path_tag
+//     lookup (no read-your-writes anomaly);
 //   * exactly-once install -- the core re-checks its installed map under
 //     its own lock, so duplicate (bs, clause) ops arriving from different
 //     shards collapse to one install and all return the same tag.
 //
-// An op that throws still gets its sequence number, its observer call and
-// a republished view (the core may have partially advanced) before the
-// error propagates to the caller.  Every op is its own batch, so
-// commit.batches equals commit.ops; commit.wait_ns spans the whole call
+// An op that throws still gets its sequence number and its observer call
+// before the error propagates to the caller.  Every op is its own batch,
+// so commit.batches equals commit.ops; commit.wait_ns spans the whole call
 // (lock wait included), commit.apply_ns the part under the lock.
 //
-// Readers never enter this file: they resolve tags against the PathView
-// RCU snapshot (view()), which stays valid for as long as they hold it.
+// Readers never enter this file: they look tags up through
+// core().path_tag() / m2m_tag(), which take only the core's path-map lock.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +33,6 @@
 #include <vector>
 
 #include "ctrl/controller.hpp"
-#include "dataplane/path_view.hpp"
-#include "runtime/snapshot.hpp"
 #include "telemetry/registry.hpp"
 #include "util/annotations.hpp"
 
@@ -48,9 +45,9 @@ class CoreCommitter {
                 ControllerOptions options);
 
   // --- commit API (blocking; any thread) ------------------------------------
-  // Each call returns once its op has been applied and the view including
-  // it published.  Errors thrown by the core (policy denial, path
-  // rejection) propagate to the caller.
+  // Each call returns once its op has been applied to the core.  Errors
+  // thrown by the core (policy denial, path rejection) propagate to the
+  // caller.
   PolicyTag commit_path(std::size_t shard, std::uint32_t bs, ClauseId clause)
       SC_EXCLUDES(mu_);
   std::vector<PolicyTag> commit_paths(
@@ -61,16 +58,6 @@ class CoreCommitter {
       SC_EXCLUDES(mu_);
   Controller::RecompactResult commit_recompact(std::size_t shard)
       SC_EXCLUDES(mu_);
-
-  // --- the RCU read side ----------------------------------------------------
-  [[nodiscard]] std::shared_ptr<const PathView> view() const {
-    return view_.load();
-  }
-
-  // Re-derives and publishes the view from the core's current state.  For
-  // quiescent out-of-band core mutations (recovery wiring, direct core()
-  // use in single-threaded harness code); commits republish on their own.
-  void publish_view() SC_EXCLUDES(mu_);
 
   // The shared core controller (rule universe, tag namespace, installed
   // path maps).  Mutating it directly while commits are in flight bypasses
@@ -94,23 +81,19 @@ class CoreCommitter {
   // too, before returning its result or rethrowing its error.
   template <typename Op>
   auto commit(std::size_t shard, Op&& op) SC_EXCLUDES(mu_);
-  // Observer call, sequence bump and view publish for the op just applied.
+  // Observer call and sequence bump for the op just applied.
   void finish_locked(std::size_t shard) SC_REQUIRES(mu_);
-  void publish_locked() SC_REQUIRES(mu_);
 
   Controller core_;
-  VersionedSnapshot<PathView> view_;
 
   sc::Mutex mu_;
   CommitObserver observer_;  // set before concurrent use
   std::uint64_t seq_ SC_GUARDED_BY(mu_) = 0;
-  std::uint64_t publishes_ SC_GUARDED_BY(mu_) = 0;
 
   // Commit-stage latency series (telemetry registry, see DESIGN.md
   // section 16): refs are stable for the registry's lifetime.
   telemetry::Counter& batches_;
   telemetry::Counter& ops_;
-  telemetry::Counter& view_publishes_;
   telemetry::Histogram& apply_ns_;
   telemetry::Histogram& wait_ns_;
 };

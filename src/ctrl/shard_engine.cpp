@@ -41,20 +41,18 @@ std::optional<UeLocation> ShardEngine::ue_location(UeId ue) const {
 }
 
 std::vector<PacketClassifier> ShardEngine::fetch_classifiers(
-    UeId ue, std::uint32_t bs, const PathView& view) const {
+    UeId ue, std::uint32_t bs, const Controller& core) const {
   sc::ReadLock lock(mu_);
   const std::optional<SubscriberProfile> profile = store_.profile(ue);
   if (!profile)
     throw std::invalid_argument("fetch_classifiers: unknown subscriber");
 
-  // The tag comes from the RCU path view instead of a store path map: the
-  // committer republishes the view before completing any install,
-  // migration or recompaction, so the two are definitionally equal.
-  return compile_classifiers(
-      *policy_, *profile, [&](ClauseId clause) -> std::optional<PolicyTag> {
-        if (const PolicyTag* tag = view.path(clause, bs)) return *tag;
-        return std::nullopt;
-      });
+  // The tag comes from the core's installed-path map instead of a store
+  // path map: every install, migration and recompaction writes it there
+  // before completing, so the two are definitionally equal.
+  return compile_classifiers(*policy_, *profile, [&](ClauseId clause) {
+    return core.path_tag(clause, bs);
+  });
 }
 
 void ShardEngine::set_policy(std::shared_ptr<const ServicePolicy> policy) {

@@ -12,9 +12,10 @@
 //
 // A ShardEngine owns exactly the first kind: a replicated ControlStore
 // slice holding this shard's profiles and locations, plus the policy
-// snapshot pointer.  Classifier compilation resolves path tags against an
-// immutable PathView published by the CoreCommitter (the second kind's
-// single writer), so the shard-side read path never touches the core lock.
+// snapshot pointer.  Classifier compilation resolves path tags through the
+// core Controller's path_tag() (the second kind's owner), which takes only
+// the core's path-map leaf lock -- never the lock Algorithm 1 installs
+// under -- so the shard-side read path does not wait behind an install.
 //
 // Thread safety: all methods are safe from any thread; a shard's own
 // SharedMutex serializes them.  Different ShardEngines never share state.
@@ -27,8 +28,8 @@
 #include <vector>
 
 #include "ctrl/control_plane.hpp"
+#include "ctrl/controller.hpp"
 #include "ctrl/store.hpp"
-#include "dataplane/path_view.hpp"
 #include "policy/policy.hpp"
 #include "util/annotations.hpp"
 
@@ -50,10 +51,10 @@ class ShardEngine {
   [[nodiscard]] std::optional<UeLocation> ue_location(UeId ue) const
       SC_EXCLUDES(mu_);
 
-  // Compiles the UE's packet classifiers, resolving tags against `view`
-  // (the caller's loaded RCU snapshot) instead of a store path map.
+  // Compiles the UE's packet classifiers, resolving tags through
+  // core.path_tag() instead of a store path map.
   [[nodiscard]] std::vector<PacketClassifier> fetch_classifiers(
-      UeId ue, std::uint32_t bs, const PathView& view) const
+      UeId ue, std::uint32_t bs, const Controller& core) const
       SC_EXCLUDES(mu_);
 
   // RCU policy swap (same contract as Controller::set_policy).

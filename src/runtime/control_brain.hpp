@@ -4,10 +4,10 @@
 // The implementation is ShardBrain (runtime/shard_brain.hpp): N
 // ShardEngines (per-shard UE/classifier state) over ONE shared rule
 // universe, with every cross-shard install serialized through the
-// CoreCommitter's single-writer commit stage and published back to readers
-// as RCU PathView snapshots.  The interface stays virtual so a caller can
-// wrap the brain -- a decorator that times or traces every call -- without
-// the pipeline knowing.
+// CoreCommitter's single-writer commit stage and every tag read straight
+// from the core's installed-path map.  The interface stays virtual so a
+// caller can wrap the brain -- a decorator that times or traces every
+// call -- without the pipeline knowing.
 //
 // The pipeline (ControlPlaneRuntime) routes by shard_of(ue), executes on
 // the worker owning that shard, and records per-shard metrics through this

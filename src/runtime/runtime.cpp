@@ -118,18 +118,6 @@ void ControlPlaneRuntime::execute(unsigned, Job& job) {
   Response response;
   try {
     switch (r.kind) {
-      case RequestKind::kProvision:
-        controller_.provision_subscriber(r.ue, r.profile);
-        break;
-      case RequestKind::kAttach:
-        controller_.attach_ue(r.ue, r.bs, r.local);
-        break;
-      case RequestKind::kDetach:
-        controller_.detach_ue(r.ue);
-        break;
-      case RequestKind::kUpdateLocation:
-        controller_.update_location(r.ue, r.bs, r.local);
-        break;
       case RequestKind::kFetchClassifiers:
         response.classifiers = controller_.fetch_classifiers(r.ue, r.bs);
         break;

@@ -45,10 +45,6 @@
 namespace softcell {
 
 enum class RequestKind : std::uint8_t {
-  kProvision,
-  kAttach,
-  kDetach,
-  kUpdateLocation,
   kFetchClassifiers,
   kPolicyPath,
 };
@@ -64,9 +60,7 @@ struct Request {
   RequestKind kind = RequestKind::kFetchClassifiers;
   UeId ue{};
   std::uint32_t bs = 0;
-  ClauseId clause{};       // kPolicyPath
-  LocalUeId local{};       // kAttach / kUpdateLocation
-  SubscriberProfile profile{};  // kProvision
+  ClauseId clause{};  // kPolicyPath
   // Causal chain id (telemetry/trace.hpp).  0 = inherit the poster's
   // current trace id; workers re-establish it via TraceScope so spans on
   // both sides of the queue stitch into one chain.  Present even in

@@ -39,16 +39,6 @@ std::size_t ShardBrain::shard_of(UeId ue) const {
   return mix64(ue.value()) % shards_.size();
 }
 
-std::shared_ptr<const PathView> ShardBrain::current_view() const {
-  if (view_stale_.load(std::memory_order_acquire) &&
-      view_stale_.exchange(false, std::memory_order_acq_rel)) {
-    // Const escape: republishing is a cache refresh, not an observable
-    // state change (the view is re-derived from the core's current maps).
-    const_cast<CoreCommitter&>(committer_).publish_view();
-  }
-  return committer_.view();
-}
-
 void ShardBrain::provision_subscriber(UeId ue,
                                       const SubscriberProfile& profile) {
   const auto s = shard_of(ue);
@@ -85,10 +75,7 @@ std::vector<PacketClassifier> ShardBrain::fetch_classifiers(
   const auto s = shard_of(ue);
   metrics_[s].count_request();
   metrics_[s].count_classifier_fetch();
-  // One snapshot for the whole compilation: every tag the classifiers
-  // resolve comes from the same view version.
-  const auto view = current_view();
-  return shards_[s]->fetch_classifiers(ue, bs, *view);
+  return shards_[s]->fetch_classifiers(ue, bs, committer_.core());
 }
 
 PolicyTag ShardBrain::request_policy_path(UeId ue, std::uint32_t bs,
@@ -96,14 +83,11 @@ PolicyTag ShardBrain::request_policy_path(UeId ue, std::uint32_t bs,
   const auto s = shard_of(ue);
   metrics_[s].count_request();
   metrics_[s].count_path_request();
-  // Warm hit: the path is already installed and visible in the current
-  // view -- no commit, no core lock.  The core re-checks under its own
-  // lock on the miss path, so a racing duplicate still installs once.
-  // The snapshot must outlive the returned pointer: a temporary
-  // shared_ptr would retire the view (and the tag it points into) before
-  // the dereference once a racing commit republishes.
-  const auto view = current_view();
-  if (const PolicyTag* tag = view->path(clause, bs)) return *tag;
+  // Warm hit: the path is already installed -- no commit, and path_tag()
+  // takes only the core's path-map lock, never the one installs hold.
+  // The core re-checks under its own lock on the miss path, so a racing
+  // duplicate still installs once.
+  if (const auto tag = committer_.core().path_tag(clause, bs)) return *tag;
   return committer_.commit_path(s, bs, clause);
 }
 
@@ -115,7 +99,7 @@ std::vector<PolicyTag> ShardBrain::request_policy_paths(
     metrics_[s].count_path_request();
   // The batch goes to the commit stage whole -- the core's batched install
   // sorts by (bs, clause) and skips already-installed entries under one
-  // writer-lock acquisition, which beats filtering against the view here.
+  // writer-lock acquisition, which beats filtering entry by entry here.
   return committer_.commit_paths(s, requests);
 }
 
@@ -124,8 +108,7 @@ PolicyTag ShardBrain::request_m2m_path(UeId src_ue, std::uint32_t src_bs,
   const auto s = shard_of(src_ue);
   metrics_[s].count_request();
   metrics_[s].count_path_request();
-  const auto view = current_view();  // keeps *tag alive past the load
-  if (const PolicyTag* tag = view->m2m_tag(clause, src_bs, dst_bs))
+  if (const auto tag = committer_.core().m2m_tag(clause, src_bs, dst_bs))
     return *tag;
   return committer_.commit_m2m(s, src_bs, dst_bs, clause);
 }
@@ -133,15 +116,13 @@ PolicyTag ShardBrain::request_m2m_path(UeId src_ue, std::uint32_t src_bs,
 PolicyTag ShardBrain::request_policy_path(std::uint32_t bs, ClauseId clause) {
   // UE-less ControlPlane surface (simulation agents): no shard metrics to
   // attribute; commits are accounted to shard 0.
-  const auto view = current_view();  // keeps *tag alive past the load
-  if (const PolicyTag* tag = view->path(clause, bs)) return *tag;
+  if (const auto tag = committer_.core().path_tag(clause, bs)) return *tag;
   return committer_.commit_path(0, bs, clause);
 }
 
 PolicyTag ShardBrain::request_m2m_path(std::uint32_t src_bs,
                                        std::uint32_t dst_bs, ClauseId clause) {
-  const auto view = current_view();  // keeps *tag alive past the load
-  if (const PolicyTag* tag = view->m2m_tag(clause, src_bs, dst_bs))
+  if (const auto tag = committer_.core().m2m_tag(clause, src_bs, dst_bs))
     return *tag;
   return committer_.commit_m2m(0, src_bs, dst_bs, clause);
 }

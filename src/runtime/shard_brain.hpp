@@ -12,11 +12,11 @@
 //   * shared core state (policy paths, m2m half-paths, the tag namespace
 //     and the core/gateway switch rows) lives on ONE core Controller owned
 //     by the CoreCommitter, which serializes cross-shard installs under
-//     one commit-stage mutex and publishes the resulting (clause, bs) ->
-//     tag map to readers as RCU PathView snapshots;
-//   * the read path (fetch_classifiers) never touches the core lock: it
-//     loads the current PathView and compiles against the shard's own
-//     store.
+//     one commit-stage mutex;
+//   * the read path (fetch_classifiers, the warm-hit path checks) never
+//     waits behind an install: it looks tags up through the core's
+//     path_tag() / m2m_tag(), which take only the core's path-map leaf
+//     lock, and compiles against the shard's own store.
 //
 // Fingerprint: state_fingerprint() folds the shard stores' write counts and
 // attachments into the core fingerprint, so it comes out bit-equal to a
@@ -26,11 +26,10 @@
 //
 // Thread safety: every member is either internally synchronized (the
 // CoreCommitter, each ShardEngine, VersionedSnapshot's writer mutex) or
-// lock-free by design (ShardMetrics relaxed atomics, view_stale_), so no
-// field here carries an SC_GUARDED_BY.
+// lock-free by design (ShardMetrics relaxed atomics), so no field here
+// carries an SC_GUARDED_BY.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -72,8 +71,9 @@ class ShardBrain final : public ControlPlane, public ControlBrain {
   [[nodiscard]] std::vector<PacketClassifier> fetch_classifiers(
       UeId ue, std::uint32_t bs) const override;
 
-  // Path requests check the current PathView first (warm hit: no commit,
-  // no core lock) and fall through to the commit stage on miss.
+  // Path requests check the core's installed-path map first (warm hit: no
+  // commit, and the lookup never waits behind an install) and fall
+  // through to the commit stage on miss.
   PolicyTag request_policy_path(UeId ue, std::uint32_t bs,
                                 ClauseId clause) override;
   std::vector<PolicyTag> request_policy_paths(
@@ -123,34 +123,14 @@ class ShardBrain final : public ControlPlane, public ControlBrain {
   // forwarding walk here.
   [[nodiscard]] Controller& core() { return committer_.core(); }
   [[nodiscard]] const Controller& core() const { return committer_.core(); }
-  [[nodiscard]] std::shared_ptr<const PathView> path_view() const {
-    return committer_.view();
-  }
   [[nodiscard]] ShardEngine& shard(std::size_t i) { return *shards_[i]; }
   [[nodiscard]] const ShardEngine& shard(std::size_t i) const {
     return *shards_[i];
   }
 
-  // Out-of-band core mutations that change installed tags (migrate_path,
-  // recompact called directly on core() by quiescent maintenance code)
-  // bypass the commit stage, so the published PathView would go stale.
-  // Callers -- the simulation wires the core's classifier listener here --
-  // mark the view stale and the next view consumer republishes before
-  // reading.  Commits themselves never need this (they republish inline).
-  void mark_view_stale() {
-    view_stale_.store(true, std::memory_order_release);
-  }
-
  private:
-  // Every view consumption goes through here: heals a stale view first
-  // (at most one republish per staleness event; concurrent healers race on
-  // the exchange and the losers just read the healed snapshot).
-  [[nodiscard]] std::shared_ptr<const PathView> current_view() const;
-
-
   VersionedSnapshot<ServicePolicy> policy_;
   CoreCommitter committer_;
-  mutable std::atomic<bool> view_stale_{false};
   std::vector<std::unique_ptr<ShardEngine>> shards_;
   std::unique_ptr<ShardMetrics[]> metrics_;
   // Publishes aggregate_metrics() into the telemetry registry on collect();

@@ -127,14 +127,9 @@ SoftCellNetwork::SoftCellNetwork(SoftCellConfig config, ServicePolicy policy)
         });
   } else {
     // Tag changes from quiescent maintenance (migrate_path / recompact on
-    // the core) bypass the commit stage: push the new tag to the agent AND
-    // mark the brain's path view stale so the next classifier fetch or
-    // warm-path check republishes before reading.
-    controller_.set_classifier_listener(
-        [this, push_tag](std::uint32_t bs, ClauseId clause, PolicyTag tag) {
-          brain_->mark_view_stale();
-          push_tag(bs, clause, tag);
-        });
+    // the core) bypass the commit stage; the brain's readers look tags up
+    // in the core itself, so only the agents need the push.
+    controller_.set_classifier_listener(push_tag);
   }
 }
 

@@ -1,12 +1,12 @@
 // SC_LIFETIMEBOUND: compiler-enforced lifetime annotation for accessors
-// that return a pointer/reference into *this (PathView::path, Slab::get,
+// that return a pointer/reference into *this (Slab::get, SlabMap::find,
 // FlatMap::find/at, ...).
 //
 // Under Clang, [[clang::lifetimebound]] makes the compiler reject the
 // intra-statement half of the PR 8 bug class at -Werror=dangling:
 //
-//     const PolicyTag* tag = committer.view()->path(clause, bs);
-//     //                     ^ temporary PathView owner dies here
+//     const PolicyTag* tag = tags_by_value().find(key);
+//     //                     ^ temporary SlabMap owner dies here
 //
 // The cross-statement half (pin, mutate, then use) is what
 // tools/softcell_analyze.py's rvalue-snapshot-deref / handle-across-

@@ -5,11 +5,11 @@
 // live on as golden digests recorded while every mode still existed and
 // agreed.  Three layers of evidence:
 //
-//   1. Unit contracts on the commit stage and view lifecycle:
-//      read-your-writes (a returned tag is in every snapshot loaded
-//      after), warm-hit short-circuit, staleness healing after
-//      out-of-band core mutations, canonical-fingerprint stability, and
-//      the pinned UE partition.
+//   1. Unit contracts on the commit stage and the core's tag lookups:
+//      read-your-writes (a returned tag is in every path_tag lookup
+//      after), warm-hit short-circuit, out-of-band core mutations visible
+//      at once with no listener wired, canonical-fingerprint stability,
+//      and the pinned UE partition.
 //   2. A scripted day: the same attach / flow / handoff / failover
 //      sequence on three topologies must land on the pinned control
 //      fingerprints at every checkpoint.
@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "chaos/harness.hpp"
@@ -63,30 +64,30 @@ class ShardBrainTest : public ::testing::Test {
   std::uint32_t next_ = 1;
 };
 
-TEST_F(ShardBrainTest, CommitPublishesViewBeforeReturning) {
+TEST_F(ShardBrainTest, CommitWritesTagBeforeReturning) {
   const UeId ue = provision();
   const auto clause = clause_for(AppType::kWeb);
   const auto tag = brain_.request_policy_path(ue, 5, clause);
-  // Read-your-writes: the snapshot loaded after the commit returned must
-  // already carry the tag -- no "install done, view lagging" window.
-  const auto view = brain_.path_view();
-  const PolicyTag* seen = view->path(clause, 5);
-  ASSERT_NE(seen, nullptr);
+  // Read-your-writes: a lookup made after the commit returned must
+  // already find the tag -- no "install done, tag not yet visible" window.
+  const auto seen = brain_.core().path_tag(clause, 5);
+  ASSERT_TRUE(seen);
   EXPECT_EQ(*seen, tag);
-  EXPECT_GT(view->version, 0u);
 }
 
 TEST_F(ShardBrainTest, WarmHitSkipsCommitStage) {
   const UeId ue = provision();
   const auto clause = clause_for(AppType::kWeb);
+  const auto& commits = telemetry::Registry::global().counter("commit.ops");
+  const auto before = commits.value();
   const auto t1 = brain_.request_policy_path(ue, 2, clause);
-  const auto version = brain_.path_view()->version;
+  ASSERT_EQ(commits.value(), before + 1);
   const auto installs = brain_.core().path_installs();
-  // Second request resolves from the published view: same tag, no new
-  // view version, no core install.
+  // Second request resolves from the core's installed-path map: same tag,
+  // no commit, no core install.
   const auto t2 = brain_.request_policy_path(ue, 2, clause);
   EXPECT_EQ(t1, t2);
-  EXPECT_EQ(brain_.path_view()->version, version);
+  EXPECT_EQ(commits.value(), before + 1);
   EXPECT_EQ(brain_.core().path_installs(), installs);
 }
 
@@ -173,25 +174,46 @@ TEST_F(ShardBrainTest, CanonicalFingerprintIsOrderIndependent) {
   EXPECT_EQ(brain_.canonical_fingerprint(), other.canonical_fingerprint());
 }
 
-TEST_F(ShardBrainTest, StaleViewHealsAfterDirectCoreMutation) {
+TEST_F(ShardBrainTest, DirectCoreMutationIsVisibleAtOnce) {
   const UeId ue = provision();
-  const auto clause = clause_for(AppType::kWeb);
-  const auto old_tag = brain_.request_policy_path(ue, 4, clause);
-  // Quiescent maintenance path: migrate straight on the core, bypassing
-  // the commit stage.  The published view still holds the old tag...
-  const auto mig = brain_.core().migrate_path(4, clause);
+  brain_.attach_ue(ue, 4, LocalUeId(1));
+  const auto web = clause_for(AppType::kWeb);
+  const auto voip = clause_for(AppType::kVoip);
+  const auto old_tag = brain_.request_policy_path(ue, 4, web);
+  brain_.request_policy_path(ue, 4, voip);
+  const auto tag_in = [&](ClauseId clause) -> std::optional<PolicyTag> {
+    for (const auto& c : brain_.fetch_classifiers(ue, 4))
+      if (c.clause == clause) return c.tag;
+    ADD_FAILURE() << "no classifier for clause " << clause.value();
+    return std::nullopt;
+  };
+  const auto& commits = telemetry::Registry::global().counter("commit.ops");
+  const auto before = commits.value();
+
+  // Quiescent maintenance straight on the core, bypassing the commit
+  // stage, with no classifier listener wired: the very next fetch and
+  // warm-hit request must already see the migrated tag.
+  const auto mig = brain_.core().migrate_path(4, web);
   ASSERT_EQ(mig.old_tag, old_tag);
-  const auto stale_view = brain_.path_view();  // keep *stale alive
-  const PolicyTag* stale = stale_view->path(clause, 4);
-  ASSERT_NE(stale, nullptr);
-  EXPECT_EQ(*stale, old_tag);
-  // ...until the staleness mark forces the next consumer to republish.
-  brain_.mark_view_stale();
-  EXPECT_EQ(brain_.request_policy_path(ue, 4, clause), mig.new_tag);
-  const auto healed_view = brain_.path_view();  // keep *healed alive
-  const PolicyTag* healed = healed_view->path(clause, 4);
-  ASSERT_NE(healed, nullptr);
-  EXPECT_EQ(*healed, mig.new_tag);
+  ASSERT_NE(mig.new_tag, old_tag);
+  EXPECT_EQ(tag_in(web), mig.new_tag);
+  EXPECT_EQ(brain_.request_policy_path(ue, 4, web), mig.new_tag);
+
+  // Recompaction renumbers every path; the core's store records the tags
+  // it reinstalled, independently of the installed-path map.
+  brain_.core().drain_old_path(4, web, mig.old_tag);
+  brain_.core().recompact();
+  const auto rebuilt = brain_.core().store().path(web, 4);
+  ASSERT_TRUE(rebuilt);
+  EXPECT_NE(*rebuilt, mig.new_tag);
+  for (const ClauseId clause : {web, voip}) {
+    const auto expected = brain_.core().store().path(clause, 4);
+    ASSERT_TRUE(expected);
+    EXPECT_EQ(tag_in(clause), *expected);
+    EXPECT_EQ(brain_.request_policy_path(ue, 4, clause), *expected);
+  }
+  // Every request above was a warm hit: none reached the commit stage.
+  EXPECT_EQ(commits.value(), before);
 }
 
 TEST_F(ShardBrainTest, FailoverRebuildRepartitionsByShard) {

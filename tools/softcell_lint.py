@@ -66,8 +66,8 @@ section 12, "Static guarantees"):
                     split (DESIGN.md section 16), every cross-shard install
                     is serialized under the CoreCommitter's stage mutex;
                     a direct engine mutation elsewhere slips rows
-                    past that total order, so the published PathView
-                    snapshots and the state fingerprint silently diverge
+                    past that total order, so the installed-path tag
+                    maps and the state fingerprint silently diverge
                     from the table.  Reads (lookup, stats, classifiers)
                     stay free.
 
@@ -438,7 +438,7 @@ def check_cross_shard_direct(path: str, raw_lines: list[str],
                 f"{m.group(0).strip()}: switch-table rows are mutated only "
                 "in the sc-lint: commit-owner(...) file; a direct engine "
                 "install/remove bypasses the commit stage's single-writer "
-                "total order and desyncs the published PathView snapshots",
+                "total order and desyncs the installed-path tag maps",
                 line))
     marker = _marker_line(_COMMIT_OWNER, raw_lines)
     if marker is not None:
