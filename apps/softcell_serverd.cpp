@@ -131,15 +131,19 @@ int main(int argc, char** argv) {
   loop_thread.join();
 
   const auto& stats = server.stats();
+  const MetricsSnapshot metrics = runtime.metrics();
   std::printf(
       "softcell-serverd: %s (accepts=%llu packet_ins=%llu replies=%llu "
-      "backpressure_drops=%llu dropped_replies=%llu decode_errors=%llu)\n",
+      "backpressure_drops=%llu dropped_replies=%llu decode_errors=%llu "
+      "fetches=%llu inline_fetches=%llu)\n",
       drained ? "drained" : "drain timeout",
       static_cast<unsigned long long>(stats.accepts.load()),
       static_cast<unsigned long long>(stats.packet_ins.load()),
       static_cast<unsigned long long>(stats.replies_out.load()),
       static_cast<unsigned long long>(stats.backpressure_drops.load()),
       static_cast<unsigned long long>(stats.dropped_replies.load()),
-      static_cast<unsigned long long>(stats.decode_errors.load()));
+      static_cast<unsigned long long>(stats.decode_errors.load()),
+      static_cast<unsigned long long>(metrics.classifier_fetches),
+      static_cast<unsigned long long>(metrics.inline_fetches));
   return 0;
 }

@@ -50,7 +50,7 @@ Request to_request(const ofp::PacketInMsg& msg) {
 
 void RuntimeDispatcher::dispatch(
     const ofp::PacketInMsg& msg,
-    std::function<void(ofp::PacketInReply&&)> done) {
+    std::function<void(ofp::PacketInReply&&)> done, bool inline_if_idle) {
   Request request = to_request(msg);
   const std::uint32_t xid = msg.xid;
   const auto kind = msg.kind;
@@ -72,6 +72,7 @@ void RuntimeDispatcher::dispatch(
     }
     on_done(std::move(reply));
   };
+  if (inline_if_idle && runtime_.run_inline_if_idle(request)) return;
   if (!runtime_.post(std::move(request))) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     ofp::PacketInReply reply;

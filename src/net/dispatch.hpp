@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <utility>
 
 #include "ctrl/control_plane.hpp"
 #include "ofp/codec.hpp"
@@ -29,6 +30,16 @@ class Dispatcher {
   // fires completions on its workers) and must stay cheap.
   virtual void dispatch(const ofp::PacketInMsg& msg,
                         std::function<void(ofp::PacketInReply&&)> done) = 0;
+
+  // The same, but with `inline_if_idle` the dispatcher may serve the
+  // request on the calling thread before returning (the serving loop
+  // offers the last frame of each read burst).  The default ignores the
+  // offer and forwards to the two-argument form.
+  virtual void dispatch(const ofp::PacketInMsg& msg,
+                        std::function<void(ofp::PacketInReply&&)> done,
+                        bool /*inline_if_idle*/) {
+    dispatch(msg, std::move(done));
+  }
 
   // Interleaving-independent fingerprint of the controller state (the
   // canonical recompact-then-fingerprint; see runtime/control_brain.hpp).
@@ -52,14 +63,21 @@ class Dispatcher {
 
 // The production Dispatcher: packet-ins become runtime Requests routed
 // through the shard pipeline; replies are built from the runtime Response
-// on the worker thread.
+// on the thread that executed it.  Offered inline, a classifier fetch
+// whose owning worker is idle runs on the caller's thread
+// (ControlPlaneRuntime::run_inline_if_idle); everything else is posted.
 class RuntimeDispatcher final : public Dispatcher {
  public:
   RuntimeDispatcher(ControlPlaneRuntime& runtime, ControlBrain& brain)
       : runtime_(runtime), brain_(brain) {}
 
   void dispatch(const ofp::PacketInMsg& msg,
-                std::function<void(ofp::PacketInReply&&)> done) override;
+                std::function<void(ofp::PacketInReply&&)> done) override {
+    dispatch(msg, std::move(done), false);
+  }
+  void dispatch(const ofp::PacketInMsg& msg,
+                std::function<void(ofp::PacketInReply&&)> done,
+                bool inline_if_idle) override;
   [[nodiscard]] std::uint64_t fingerprint() override;
   void drain() override { runtime_.drain(); }
 

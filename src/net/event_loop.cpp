@@ -81,6 +81,9 @@ void EventLoop::post(Task task) {
     sc::LockGuard lock(mu_);
     tasks_.push_back(std::move(task));
   }
+  // The loop sees its own posts before it next blocks (run() polls with a
+  // zero timeout while tasks are queued).
+  if (in_loop_thread()) return;
   const std::uint64_t one = 1;
   // A full eventfd counter (EAGAIN) still wakes the loop; ignore errors.
   [[maybe_unused]] const auto n = ::write(wake_fd_, &one, sizeof(one));
@@ -96,12 +99,12 @@ void EventLoop::stop() {
 }
 
 void EventLoop::drain_tasks() {
-  std::vector<Task> batch;
   {
     sc::LockGuard lock(mu_);
-    batch.swap(tasks_);
+    running_.swap(tasks_);
   }
-  for (Task& t : batch) t();
+  for (Task& t : running_) t();
+  running_.clear();
 }
 
 void EventLoop::run() {
@@ -111,8 +114,9 @@ void EventLoop::run() {
     stop_requested_ = false;
   }
   epoll_event events[64];
+  int timeout_ms = -1;
   for (;;) {
-    const int n = ::epoll_wait(epoll_fd_, events, 64, -1);
+    const int n = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
     if (n < 0) {
       if (errno == EINTR) continue;
       break;  // epoll fd itself broke; nothing sane left to do
@@ -135,6 +139,9 @@ void EventLoop::run() {
     {
       sc::LockGuard lock(mu_);
       if (stop_requested_ && tasks_.empty()) break;
+      // Tasks posted from the loop thread by a task have no wake-up
+      // behind them: poll, do not block.
+      timeout_ms = tasks_.empty() ? -1 : 0;
     }
   }
   loop_thread_.store(std::thread::id{}, std::memory_order_release);

@@ -7,7 +7,9 @@
 // reactor shape (DESIGN.md section 18): the runtime's worker completions
 // never touch a socket directly; they post the reply batch back to the
 // loop, which is the single owner of fd lifecycle (lint rule raw-socket
-// pins the syscalls to this directory).
+// pins the syscalls to this directory).  A post() from the loop thread
+// itself skips the eventfd: run() polls with a zero timeout while tasks
+// are queued, so the loop never wakes itself through the kernel.
 //
 // Registration hands back a monotonically increasing token rather than the
 // fd itself: the kernel reuses fd numbers immediately after close(), and a
@@ -61,8 +63,9 @@ class EventLoop {
 
   // --- any-thread entry points ----------------------------------------------
 
-  // Enqueues `task` to run on the loop thread and wakes it.  Tasks run in
-  // post order, after the fd events of the iteration that picks them up.
+  // Enqueues `task` to run on the loop thread and wakes it (no wake-up
+  // needed when called from the loop thread).  Tasks run in post order,
+  // after the fd events of the iteration that picks them up.
   void post(Task task);
 
   // Makes run() return after the current iteration.
@@ -93,6 +96,9 @@ class EventLoop {
   std::atomic<std::thread::id> loop_thread_{};
   std::uint64_t next_token_ = 1;
   std::unordered_map<std::uint64_t, Entry> entries_;  // loop thread only
+  // The batch drain_tasks() runs, swapped with tasks_ and handed back
+  // cleared, so neither vector reallocates once warm.  Loop thread only.
+  std::vector<Task> running_;
 
   sc::Mutex mu_;
   std::vector<Task> tasks_ SC_GUARDED_BY(mu_);

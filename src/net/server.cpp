@@ -150,7 +150,10 @@ void ControllerServer::on_readable(Conn& conn) {
       return;
     }
     stats_.frames_in.fetch_add(1, std::memory_order_relaxed);
-    if (!handle_frame(conn, frame)) {
+    // Only the burst's last frame may run on this thread: earlier ones
+    // would hold back the frames behind them, which the workers could be
+    // serving meanwhile.
+    if (!handle_frame(conn, frame, conn.in.buffered() == 0)) {
       close_conn(conn);
       return;
     }
@@ -163,7 +166,8 @@ void ControllerServer::on_readable(Conn& conn) {
 }
 
 bool ControllerServer::handle_frame(Conn& conn,
-                                    std::span<const std::uint8_t> frame) {
+                                    std::span<const std::uint8_t> frame,
+                                    bool last_in_burst) {
   const auto h = ofp::peek_header(frame);
   if (!h) {
     stats_.decode_errors.fetch_add(1, std::memory_order_relaxed);
@@ -180,9 +184,12 @@ bool ControllerServer::handle_frame(Conn& conn,
       }
       stats_.packet_ins.fetch_add(1, std::memory_order_relaxed);
       const std::uint64_t id = conn.id;
-      dispatcher_.dispatch(*msg, [this, id](ofp::PacketInReply&& reply) {
-        queue_reply(id, std::move(reply));
-      });
+      dispatcher_.dispatch(
+          *msg,
+          [this, id](ofp::PacketInReply&& reply) {
+            queue_reply(id, std::move(reply));
+          },
+          last_in_burst);
       return true;
     }
     case ofp::MsgType::kEchoRequest: {
@@ -241,19 +248,17 @@ void ControllerServer::queue_reply(std::uint64_t conn_id,
 }
 
 void ControllerServer::flush_pending_replies() {
-  std::vector<std::pair<std::uint64_t, ofp::PacketInReply>> batch;
   {
     sc::LockGuard lock(reply_mu_);
-    batch.swap(pending_replies_);
+    flushing_.swap(pending_replies_);
     flush_scheduled_ = false;
   }
-  if (batch.empty()) return;
+  if (flushing_.empty()) return;
   stats_.reply_batches.fetch_add(1, std::memory_order_relaxed);
 
   // Batch-encode: group by connection (append to each conn's outbound
   // buffer), then one flush per touched connection.
-  std::vector<Conn*> touched;
-  for (auto& [id, reply] : batch) {
+  for (auto& [id, reply] : flushing_) {
     const auto it = conns_.find(id);
     if (it == conns_.end()) {
       // Connection dropped mid-request; the runtime still completed it.
@@ -274,10 +279,12 @@ void ControllerServer::flush_pending_replies() {
     }
     ofp::encode_packet_in_reply_into(conn.out, reply);
     stats_.replies_out.fetch_add(1, std::memory_order_relaxed);
-    if (std::find(touched.begin(), touched.end(), &conn) == touched.end())
-      touched.push_back(&conn);
+    if (std::find(touched_.begin(), touched_.end(), &conn) == touched_.end())
+      touched_.push_back(&conn);
   }
-  for (Conn* conn : touched) flush_conn(*conn);
+  flushing_.clear();
+  for (Conn* conn : touched_) flush_conn(*conn);
+  touched_.clear();
 }
 
 bool ControllerServer::flush_conn(Conn& conn) {

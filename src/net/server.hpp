@@ -12,7 +12,11 @@
 // replies by connection, encodes them directly into each connection's
 // outbound buffer, and issues one send() per touched connection.  That is
 // the reply-side batching mirror of the install path's (bs, clause)
-// batching.
+// batching.  The last frame of each read burst is offered to the
+// dispatcher inline: a classifier fetch whose owning worker is idle then
+// runs to completion on the loop thread, and its queue_reply() posts the
+// flush from the loop thread -- no worker hop, no eventfd write -- so its
+// reply joins the same iteration's flush.  Every other request is posted.
 //
 // Backpressure: each connection's outbound buffer is bounded
 // (Options::max_outbound_bytes).  A slow client -- one that stops reading
@@ -109,8 +113,10 @@ class ControllerServer {
   void on_conn_event(std::uint64_t id, std::uint32_t events);
   // Reads until EAGAIN, then processes every complete frame.
   void on_readable(Conn& conn);
-  // True to keep the connection open.
-  bool handle_frame(Conn& conn, std::span<const std::uint8_t> frame);
+  // True to keep the connection open.  `last_in_burst`: nothing more is
+  // buffered behind this frame, so the dispatcher may serve it inline.
+  bool handle_frame(Conn& conn, std::span<const std::uint8_t> frame,
+                    bool last_in_burst);
   void queue_reply(std::uint64_t conn_id, ofp::PacketInReply&& reply);
   void flush_pending_replies();
   // Sends what the kernel will take.  A hard send() failure closes and
@@ -142,6 +148,12 @@ class ControllerServer {
   std::vector<std::pair<std::uint64_t, ofp::PacketInReply>> pending_replies_
       SC_GUARDED_BY(reply_mu_);
   bool flush_scheduled_ SC_GUARDED_BY(reply_mu_) = false;
+  // flush_pending_replies()'s working set, kept between calls so a warm
+  // loop does not allocate: the batch swapped out of pending_replies_
+  // (swapped back in cleared, capacity kept) and the connections it
+  // touched.  Loop thread only.
+  std::vector<std::pair<std::uint64_t, ofp::PacketInReply>> flushing_;
+  std::vector<Conn*> touched_;
 
   telemetry::Registry::CollectorHandle collector_;
 };

@@ -65,6 +65,7 @@ struct MetricsSnapshot {
   std::uint64_t classifier_fetches = 0;
   std::uint64_t path_requests = 0;      // executed (post-coalescing)
   std::uint64_t coalesced_misses = 0;   // duplicate misses folded away
+  std::uint64_t inline_fetches = 0;     // fetches run on the caller's thread
   std::uint64_t errors = 0;
   std::array<std::uint64_t, LatencyHistogram::kBuckets> latency_buckets{};
 
@@ -111,6 +112,7 @@ struct MetricsSnapshot {
     sink.counter(name("classifier_fetches"), classifier_fetches);
     sink.counter(name("path_requests"), path_requests);
     sink.counter(name("coalesced_misses"), coalesced_misses);
+    sink.counter(name("inline_fetches"), inline_fetches);
     sink.counter(name("errors"), errors);
     sink.histogram(name("latency_ns"), latency_buckets);
     sink.counter("agg.installs", agg_installs);
@@ -142,6 +144,9 @@ class alignas(64) ShardMetrics {
   void count_coalesced() {
     coalesced_.fetch_add(1, std::memory_order_relaxed);
   }
+  void count_inline_fetch() {
+    inline_fetches_.fetch_add(1, std::memory_order_relaxed);
+  }
   void count_error() { errors_.fetch_add(1, std::memory_order_relaxed); }
   void record_latency(std::uint64_t nanos) { latency_.record(nanos); }
 
@@ -151,6 +156,7 @@ class alignas(64) ShardMetrics {
         classifier_fetches_.load(std::memory_order_relaxed);
     out.path_requests += path_requests_.load(std::memory_order_relaxed);
     out.coalesced_misses += coalesced_.load(std::memory_order_relaxed);
+    out.inline_fetches += inline_fetches_.load(std::memory_order_relaxed);
     out.errors += errors_.load(std::memory_order_relaxed);
     latency_.merge_into(out.latency_buckets);
   }
@@ -164,6 +170,7 @@ class alignas(64) ShardMetrics {
   std::atomic<std::uint64_t> classifier_fetches_{0};
   std::atomic<std::uint64_t> path_requests_{0};
   std::atomic<std::uint64_t> coalesced_{0};
+  std::atomic<std::uint64_t> inline_fetches_{0};
   std::atomic<std::uint64_t> errors_{0};
   LatencyHistogram latency_;
 };

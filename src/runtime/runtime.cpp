@@ -1,5 +1,6 @@
 #include "runtime/runtime.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -19,7 +20,7 @@ Response shut_down_response() {
 
 ControlPlaneRuntime::ControlPlaneRuntime(ControlBrain& controller,
                                          RuntimeOptions options)
-    : controller_(controller) {
+    : controller_(controller), load_(std::max(1u, options.workers)) {
   pending_.reserve(controller_.shard_count());
   for (std::size_t i = 0; i < controller_.shard_count(); ++i)
     pending_.push_back(std::make_unique<ShardPending>());
@@ -27,7 +28,10 @@ ControlPlaneRuntime::ControlPlaneRuntime(ControlBrain& controller,
       ThreadPoolOptions{.workers = options.workers,
                         .queue_capacity = options.queue_capacity,
                         .start_suspended = options.start_suspended},
-      [this](unsigned worker, Job& job) { execute(worker, job); });
+      [this](unsigned worker, Job& job) {
+        execute(job);
+        --load_[worker].jobs;
+      });
 }
 
 ControlPlaneRuntime::~ControlPlaneRuntime() {
@@ -65,14 +69,32 @@ bool ControlPlaneRuntime::post(Request request) {
   }
 
   in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  if (pool_->submit_to(worker_of(shard),
-                       Job{std::move(request), shard, submitted}))
+  const unsigned worker = worker_of(shard);
+  ++load_[worker].jobs;
+  if (pool_->submit_to(worker, Job{std::move(request), shard, submitted}))
     return true;
   // Rejected (shutting down): retire the in-flight marker, answering any
   // duplicate that attached to it meanwhile.
+  --load_[worker].jobs;
   if (path) answer_waiters(shard, key, shut_down_response());
   complete_one();
   return false;
+}
+
+bool ControlPlaneRuntime::run_inline_if_idle(Request& request) {
+  if (request.kind != RequestKind::kFetchClassifiers) return false;
+  const std::size_t shard = controller_.shard_of(request.ue);
+  // Zero means every job this thread posted to that worker has completed
+  // -- completion included -- so the fetch cannot overtake them and sees
+  // their writes.
+  if (load_[worker_of(shard)].jobs.load() != 0) return false;
+  if (request.trace_id == 0)
+    request.trace_id = telemetry::current_trace_id();
+  in_flight_.fetch_add(1, std::memory_order_acq_rel);
+  controller_.metrics(shard).count_inline_fetch();
+  Job job{std::move(request), shard, Clock::now()};
+  execute(job);
+  return true;
 }
 
 void ControlPlaneRuntime::finish(std::size_t shard,
@@ -111,7 +133,7 @@ void ControlPlaneRuntime::complete_one() {
   }
 }
 
-void ControlPlaneRuntime::execute(unsigned, Job& job) {
+void ControlPlaneRuntime::execute(Job& job) {
   Request& r = job.request;
   telemetry::TraceScope trace_scope(r.trace_id);
   SC_TRACE_SPAN_ARG("runtime.execute", job.shard);

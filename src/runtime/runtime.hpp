@@ -9,12 +9,19 @@
 //             the in-flight install)  records latency, fires completions
 //
 // Guarantees:
-//   * shard affinity -- every request for a UE executes on the one worker
-//     that owns its shard, so shard state needs no cross-worker ordering;
+//   * shard affinity -- every posted request for a UE executes on the one
+//     worker that owns its shard, so shard state needs no cross-worker
+//     ordering.  The one exception is run_inline_if_idle(): a classifier
+//     fetch -- a read under the shard's read lock -- may run on the
+//     caller's thread, but only while the owning worker has no job queued
+//     or running;
 //   * per-shard FIFO -- requests posted from one thread execute in posting
 //     order (ThreadPool queue guarantee), which makes the final controller
 //     state independent of the worker count: the N-worker run is
-//     byte-identical to the 1-worker reference (stress-tested);
+//     byte-identical to the 1-worker reference (stress-tested).  An inline
+//     fetch keeps it: the idle check means every request its caller posted
+//     earlier to that worker has completed, so the fetch reads their
+//     writes;
 //   * duplicate-miss coalescing -- concurrent flow misses for the same
 //     (bs, clause) while an install is in flight attach to that install
 //     instead of enqueueing their own, from whichever thread they are
@@ -23,9 +30,10 @@
 //   * backpressure -- bounded queues throttle the poster instead of
 //     growing the backlog without bound.
 //
-// Completions run on the worker thread; keep them cheap and never call
-// back into the runtime's blocking API from one (call()/drain() from a
-// completion would self-deadlock the worker).
+// Completions run on the worker thread (or, for an inline fetch, on the
+// caller's); keep them cheap and never call back into the runtime's
+// blocking API from one (call()/drain() from a completion would
+// self-deadlock the worker).
 #pragma once
 
 #include <chrono>
@@ -95,6 +103,13 @@ class ControlPlaneRuntime {
   // queues); returns false if the runtime is shutting down.
   bool post(Request request);
 
+  // Run-to-completion for a classifier fetch: when `request` is a fetch
+  // and the worker owning its shard has no job queued or running, runs it
+  // here, on the caller's thread -- same execution, metrics, trace scope
+  // and completion as a posted job -- and returns true.  Otherwise
+  // returns false with `request` untouched, for the caller to post().
+  bool run_inline_if_idle(Request& request);
+
   // Blocking conveniences for synchronous callers (the simulation
   // harness).  Must not be called from a worker completion.
   Response call(Request request);
@@ -139,7 +154,7 @@ class ControlPlaneRuntime {
     return (static_cast<std::uint64_t>(clause.value()) << 32) | bs;
   }
 
-  void execute(unsigned worker, Job& job);
+  void execute(Job& job);
   void finish(std::size_t shard, Clock::time_point submitted,
               std::function<void(Response&&)>& done, Response&& response);
   // Detaches the waiters coalesced onto the install of `key` and answers
@@ -148,8 +163,16 @@ class ControlPlaneRuntime {
                       const Response& response);
   void complete_one();
 
+  // Jobs queued on or running in one worker: post() adds one, and the
+  // worker takes it away once the job's completion has run.  Padded so
+  // the workers' counters do not share a cache line.
+  struct alignas(64) WorkerLoad {
+    std::atomic<std::uint32_t> jobs{0};
+  };
+
   ControlBrain& controller_;
   std::vector<std::unique_ptr<ShardPending>> pending_;
+  std::vector<WorkerLoad> load_;
   std::unique_ptr<ThreadPool<Job>> pool_;
   std::atomic<std::uint64_t> in_flight_{0};
   // drain_mu_ exists solely for the drain condvar protocol; the counter it

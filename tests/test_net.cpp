@@ -166,6 +166,21 @@ TEST(NetEventLoop, PostRunsTasksOnLoopThread) {
   t.join();
 }
 
+// A post() from the loop thread writes no eventfd: the loop must find the
+// task by polling with a zero timeout while tasks are queued.  Nothing
+// else wakes the loop here -- no fd activity, no other poster -- so the
+// second task only runs if that poll works.
+TEST(NetEventLoop, TaskPostedFromLoopThreadRunsWithoutWakeup) {
+  net::EventLoop loop;
+  ASSERT_TRUE(loop.ok());
+  std::thread t([&] { loop.run(); });
+  std::atomic<bool> ran{false};
+  loop.post([&] { loop.post([&] { ran.store(true); }); });
+  EXPECT_TRUE(poll_until([&] { return ran.load(); }));
+  loop.stop();
+  t.join();
+}
+
 // The kernel may deliver a frame in any number of fragments; the server
 // must reassemble no matter where the cuts land -- including one byte at
 // a time.
@@ -504,6 +519,45 @@ TEST(NetServer, WireRunMatchesInProcessFingerprintThenDrains) {
     EXPECT_FALSE(late.echo(1, 300ms));
   }
   EXPECT_EQ(h.stats().accepts.load(), accepts);
+}
+
+// The same parity with fetches served on the loop thread: a mixed
+// fetch/path wire run at 1, 2 and 4 workers, where inline fetches race
+// the workers' installs and the stats probe's recompaction.  Every run
+// must land on the in-process reference fingerprint (and stay clean
+// under TSan: the `net` label is in the sanitizer stages).
+TEST(NetServer, MixedWireRunMatchesInProcessAtEveryWorkerCount) {
+  WireWorkloadConfig config;
+  config.connections = 3;
+  config.requests_per_conn = 300;
+  config.shards = 4;
+  config.path_request_ratio = 0.2;
+  const CellularTopology topo = config.make_topology();
+  const std::uint64_t reference = run_wire_workload_inprocess(topo, config);
+
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << workers << " workers");
+    std::vector<ClauseId> clauses;
+    ShardBrain brain(topo,
+                     make_wire_policy(topo, config.num_clauses, &clauses),
+                     {.shards = config.shards});
+    provision_wire_ues(brain, config, topo.num_base_stations());
+    ControlPlaneRuntime runtime(brain,
+                                {.workers = workers, .queue_capacity = 8192});
+    net::RuntimeDispatcher dispatcher(runtime, brain);
+    ServerHarness h(dispatcher);
+    ASSERT_TRUE(h.ok());
+
+    const WireLoadResult result = run_wire_load(
+        h.port(), topo.num_base_stations(), clauses, config);
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_EQ(result.received,
+              static_cast<std::uint64_t>(config.connections) *
+                  config.requests_per_conn);
+    EXPECT_EQ(result.failed, 0u);
+    EXPECT_EQ(result.server.fingerprint, reference);
+    EXPECT_TRUE(h.server().drain(5000ms));
+  }
 }
 
 // The serving stats surface in the global telemetry registry next to the
