@@ -9,8 +9,10 @@
 //   1. micro-measure the per-site cost of one disarmed SC_TRACE_SPAN_ARG
 //      (guarded static + relaxed armed load + dtor flag check) by differencing
 //      two noinline loops that differ only in the span, best-of-N;
-//   2. macro-measure the real ns/request of the sharded pipeline
-//      (bench_runtime_pipeline, the bench_runtime_scaling workload);
+//   2. macro-measure the real ns/request through the dispatcher seam
+//      softcell-serverd serves from (net::RuntimeDispatcher over a
+//      ControlPlaneRuntime and a ShardBrain, the wire workload's streams,
+//      no codec or socket);
 //   3. projected overhead = per-site cost x (span sites a request can cross)
 //      / ns-per-request.
 //
@@ -31,10 +33,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
+#include "net/dispatch.hpp"
+#include "runtime/runtime.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/trace.hpp"
-#include "workload/cbench.hpp"
+#include "workload/wire_workload.hpp"
 
 using namespace softcell;
 
@@ -78,6 +83,42 @@ double time_loop(Fn fn, std::uint64_t iters, int reps) {
   return best;
 }
 
+struct PipelineRun {
+  double seconds = 0;
+  std::uint64_t requests = 0;
+  MetricsSnapshot metrics;
+};
+
+// The wire workload's streams through the seam run_wire_workload_inprocess
+// uses, one request per connection in turn.  Provisioning is a UE-arrival
+// event, not request handling, so only the dispatch loop and drain() are
+// timed.
+PipelineRun run_pipeline(const WireWorkloadConfig& config) {
+  const CellularTopology topo = config.make_topology();
+  std::vector<ClauseId> clauses;
+  ShardBrain brain(topo, make_wire_policy(topo, config.num_clauses, &clauses),
+                   {.shards = config.shards, .controller = {}});
+  const std::uint32_t num_bs = topo.num_base_stations();
+  provision_wire_ues(brain, config, num_bs);
+  std::vector<WireRequestGen> gens;
+  gens.reserve(config.connections);
+  for (std::uint32_t c = 0; c < config.connections; ++c)
+    gens.emplace_back(config, num_bs, clauses, c);
+  ControlPlaneRuntime runtime(
+      brain, {.workers = config.workers, .queue_capacity = 8192});
+  net::RuntimeDispatcher dispatcher(runtime, brain);
+
+  const auto start = std::chrono::steady_clock::now();
+  for (std::uint64_t i = 0; i < config.requests_per_conn; ++i)
+    for (auto& gen : gens)
+      dispatcher.dispatch(gen.next(), [](ofp::PacketInReply&&) {});
+  dispatcher.drain();
+  const std::chrono::duration<double> dt =
+      std::chrono::steady_clock::now() - start;
+  return {dt.count(), config.requests_per_conn * config.connections,
+          runtime.metrics()};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -101,16 +142,19 @@ int main(int argc, char** argv) {
               per_site_ns, span_ns, plain_ns, reps,
               static_cast<unsigned long long>(iters));
 
-  // 2. real request cost through the sharded pipeline.
+  // 2. real request cost through the dispatcher seam.
   WireWorkloadConfig config;
   config.connections = 64;
   config.path_request_ratio = 0.02;
   config.requests_per_conn = (smoke ? 5'000 : 100'000) / config.connections;
-  const auto pipeline = bench_runtime_pipeline(config);
-  const double request_ns =
-      pipeline.total.per_second() > 0 ? 1e9 / pipeline.total.per_second() : 0;
+  const PipelineRun pipeline = run_pipeline(config);
+  const double requests_per_s =
+      pipeline.seconds > 0
+          ? static_cast<double>(pipeline.requests) / pipeline.seconds
+          : 0;
+  const double request_ns = requests_per_s > 0 ? 1e9 / requests_per_s : 0;
   std::printf("  pipeline: %.0f requests/s (%.0f ns/request)\n",
-              pipeline.total.per_second(), request_ns);
+              requests_per_s, request_ns);
 
   // 3. projection: charge every request the full instrumented chain.
   const double overhead_pct =
@@ -133,7 +177,7 @@ int main(int argc, char** argv) {
       .num("per_site_ns", per_site_ns, 3)
       .num("span_loop_ns", span_ns, 3)
       .num("plain_loop_ns", plain_ns, 3)
-      .num("requests_per_s", pipeline.total.per_second(), 0)
+      .num("requests_per_s", requests_per_s, 0)
       .num("request_ns", request_ns, 1)
       .num("projected_overhead_percent", overhead_pct, 3)
       .boolean("within_budget", ok)

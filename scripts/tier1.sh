@@ -17,13 +17,10 @@
 #   5b. scale -- the million-UE bench under SOFTCELL_SMOKE=1: its built-in
 #      check against the pinned golden fingerprint is the exit code, and
 #      the JSON envelope is validated
-#   5c. net -- the TCP serving front end end-to-end: softcell-serverd is
-#      started as a real separate process (--port 0 + --port-file for
-#      race-free discovery), the wire cbench drives it over loopback with
-#      SOFTCELL_WIRE_PORT (fingerprint parity vs the in-process run is the
-#      bench's own exit code), the SIGTERM graceful drain must exit 0, the
-#      softcell-bench-1 envelope is validated, and `ctest -L net` runs the
-#      directed partial-read/short-write/backpressure/drain suite
+#   5c. ctest -L net -- the TCP serving front end: the directed
+#      partial-read/short-write/backpressure/drain suite, wire-vs-in-process
+#      fingerprint parity, and softcell-serverd as a separate process
+#      (parity, then SIGTERM must drain it to exit 0)
 #   6. ASan + TSan + UBSan rebuilds running the
 #      concurrency|chaos|cluster|slab|shardbrain|net labels with a trimmed
 #      corpus (SOFTCELL_CHAOS_SEEDS)
@@ -34,7 +31,10 @@
 #
 #   --fast        skip the sanitizer rebuilds and clang-tidy; the lint +
 #                 thread-safety half of the static stage always runs
-#   --perf        also run the perf-labelled smoke benchmarks (SOFTCELL_SMOKE=1)
+#   --perf        also run the perf-labelled smoke benchmarks (SOFTCELL_SMOKE=1),
+#                 the serving benchmark's correctness + ladder-ratio gate
+#                 (scripts/serving_report.py) and bench_controller_micro's
+#                 widest-row 2.0x thread-scaling gate
 #   --static-only run ONLY the static stage (lint + analyze + their test
 #                 suites + thread-safety build + clang-tidy): no configure,
 #                 build, test, telemetry, scale or sanitizer stages.  The
@@ -189,79 +189,26 @@ run_stage "scale (smoke, golden fingerprint)" bash -c \
      build/bench/SMOKE_scale.json &&
    python3 -c "import json,sys; d=json.load(open(\"build/bench/SMOKE_scale.json\")); sys.exit(0 if d[\"schema\"]==\"softcell-bench-1\" and d[\"meta\"][\"fingerprint_matches_golden\"] and d[\"meta\"][\"ctrl_bytes_target_met\"] else 1)"'
 
-# --- net stage ---------------------------------------------------------------
-# The serving front end across a real process boundary.  serverd and the
-# bench both use the WireConfig defaults, so the provisioning matches and
-# the bench's fingerprint-parity check (wire run vs identical in-process
-# run) is armed.  serverd must be backgrounded directly (not via a
-# compound command) so $! is its PID and SIGTERM reaches it.
-run_stage "net (serverd + wire smoke)" bash -c '
-  set -u
-  cmake --build build -j --target softcell-serverd bench_wire_cbench || exit 1
-  port_file=build/bench/TIER1_net.port
-  rm -f "$port_file" build/bench/SMOKE_net.json
-  ./build/apps/softcell-serverd --port 0 --port-file "$port_file" &
-  serverd_pid=$!
-  for _ in $(seq 1 200); do
-    [[ -s "$port_file" ]] && break
-    kill -0 "$serverd_pid" 2>/dev/null || break
-    sleep 0.05
-  done
-  if [[ ! -s "$port_file" ]]; then
-    echo "FAIL: serverd never published its port" >&2
-    kill "$serverd_pid" 2>/dev/null
-    exit 1
-  fi
-  SOFTCELL_SMOKE=1 SOFTCELL_WIRE_PORT=$(cat "$port_file") \
-    ./build/bench/bench_wire_cbench build/bench/SMOKE_net.json
-  bench_rc=$?
-  kill -TERM "$serverd_pid"
-  wait "$serverd_pid"
-  drain_rc=$?
-  if [[ "$bench_rc" -ne 0 ]]; then
-    echo "FAIL: wire cbench exit $bench_rc (parity or transport failure)" >&2
-    exit 1
-  fi
-  if [[ "$drain_rc" -ne 0 ]]; then
-    echo "FAIL: serverd SIGTERM drain exit $drain_rc (expected 0)" >&2
-    exit 1
-  fi
-  python3 -c "
-import json, sys
-d = json.load(open(\"build/bench/SMOKE_net.json\"))
-ok = (d[\"schema\"] == \"softcell-bench-1\"
-      and d[\"meta\"][\"external_server\"]
-      and d[\"meta\"][\"fingerprint_parity\"]
-      and len(d[\"results\"]) >= 1)
-sys.exit(0 if ok else 1)
-"'
 run_stage "tests (net)" bash -c 'cd build && ctest --output-on-failure -L net'
 
 if [[ "$PERF" == 1 ]]; then
   run_stage "bench (perf smoke)" bash -c 'cd build && ctest --output-on-failure -L perf'
-  # Runtime-scaling honesty gate: run the full sweep and check its own
-  # verdict.  On a host that can actually run the sweep concurrently
-  # (valid_scaling true) the pipeline must reach >= 2.0x speedup at the
-  # widest worker count; on smaller hosts the bench reports speedup_vs_1
-  # as null and the gate only checks that it did NOT fake a number.
-  run_stage "bench (runtime scaling gate)" bash -c \
-    './build/bench/bench_runtime_scaling build/bench/PERF_runtime.json &&
-     python3 - build/bench/PERF_runtime.json <<'"'"'PY'"'"'
-import json, sys
-d = json.load(open(sys.argv[1]))
-rows = d["results"]
-last = max(rows, key=lambda r: r["workers"])
-if d["meta"]["valid_scaling"]:
-    speedup = last["speedup_vs_1"]
-    if speedup is None or speedup < 2.0:
-        sys.exit(f"FAIL: valid_scaling host but speedup_vs_1 at "
-                 f"{last['workers']} workers is {speedup} (< 2.0)")
-    print(f"scaling gate: {speedup:.2f}x at {last['workers']} workers")
-else:
-    if any(r["speedup_vs_1"] is not None and r["workers"] > 1 for r in rows):
-        sys.exit("FAIL: valid_scaling is false but speedup_vs_1 is not null")
-    print("scaling gate: oversubscribed host, speedup honestly null")
-PY'
+  # The serving benchmark (perfbench: serverd over TCP, 1M UEs) on a short
+  # fetch_1m run: every run correct with no failed request, and the runtime
+  # stage within 0.7x of direct ShardBrain calls on two threads.  perfbench
+  # needs 4 hardware threads (loop + 2 workers + generator); on a smaller
+  # host the stage is SKIP, decided here because perfbench's own nonzero
+  # exit also means a failed build.
+  if [[ "$(nproc)" -lt 4 ]]; then
+    skip_stage "bench (serving gate)" "nproc $(nproc) < 4, perfbench's thread budget"
+  else
+    run_stage "bench (serving gate)" python3 scripts/serving_report.py \
+      --workload fetch_1m --seeds 1 --seconds 3 --out build/bench/PERF_serving.json
+  fi
+  # Paper section 6.2 thread sweep: the widest row that fits the host's
+  # hardware threads must reach 2.0x the 1-thread rate (the bench's exit
+  # code; wider rows are oversubscribed and not gated).
+  run_stage "bench (controller scaling gate)" ./build/bench/bench_controller_micro
 fi
 
 if [[ "$FAST" == 0 ]]; then

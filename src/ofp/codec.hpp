@@ -14,7 +14,7 @@
 //     fuzz in tests/test_ofp.cpp cuts valid streams at every byte
 //     boundary), handing out zero-copy views into its own buffer;
 //   * the packet-in request/reply and server-stats messages the serving
-//     front end speaks (softcell-serverd + the wire-mode cbench).
+//     front end speaks (softcell-serverd + the wire load generators).
 //
 // Everything here is header-only and depends only on util/ids.hpp, so the
 // codec is usable from any layer without dragging in the engine.

@@ -6,8 +6,8 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/shard_brain.hpp"
 #include "util/rng.hpp"
+#include "workload/wire_workload.hpp"
 
 namespace softcell {
 
@@ -157,41 +157,6 @@ AgentBenchResult bench_agent_flows(const AgentBenchConfig& config) {
     }
   }
   result.total = MicroBenchResult{ops, seconds_since(start)};
-  return result;
-}
-
-RuntimeBenchResult bench_runtime_pipeline(const WireWorkloadConfig& config) {
-  const CellularTopology topo = config.make_topology();
-  std::vector<ClauseId> clauses;
-  ShardBrain brain(topo, make_wire_policy(topo, config.num_clauses, &clauses),
-                   {.shards = config.shards, .controller = {}});
-  // UE arrival is a different event class than flow handling: the
-  // subscriber base is provisioned outside the timed region.
-  const std::uint32_t num_bs = topo.num_base_stations();
-  provision_wire_ues(brain, config, num_bs);
-  std::vector<WireRequestGen> gens;
-  gens.reserve(config.connections);
-  for (std::uint32_t c = 0; c < config.connections; ++c)
-    gens.emplace_back(config, num_bs, clauses, c);
-
-  ControlPlaneRuntime runtime(
-      brain, {.workers = config.workers, .queue_capacity = 8192});
-
-  // Single dispatcher thread = deterministic per-shard request order (the
-  // ThreadPool queue guarantee); worker count only changes who executes.
-  const auto start = Clock::now();
-  for (std::uint64_t i = 0; i < config.requests_per_conn; ++i)
-    for (auto& gen : gens) runtime.post(net::to_request(gen.next()));
-  runtime.drain();
-  const double seconds = seconds_since(start);
-
-  RuntimeBenchResult result;
-  result.total = MicroBenchResult{config.requests_per_conn * config.connections,
-                                  seconds};
-  result.metrics = runtime.metrics();
-  // Canonical (recompact-then-fingerprint) so the value is independent of
-  // the commit interleaving at the shard brain's single core.
-  result.fingerprint = brain.canonical_fingerprint();
   return result;
 }
 

@@ -14,8 +14,6 @@
 
 #include "agent/local_agent.hpp"
 #include "ctrl/controller.hpp"
-#include "runtime/runtime.hpp"
-#include "workload/wire_workload.hpp"
 
 namespace softcell {
 
@@ -57,22 +55,5 @@ struct AgentBenchResult {
   std::uint64_t misses = 0;
 };
 AgentBenchResult bench_agent_flows(const AgentBenchConfig& config);
-
-// Runtime-pipeline harness: the wire workload (wire_workload.hpp) -- same
-// topology, policy, subscriber base and per-connection request streams
-// softcell-serverd serves -- posted straight into a ControlPlaneRuntime
-// over a ShardBrain, with no codec or socket in between.  One dispatcher
-// thread plays every connection, one request per connection in turn;
-// worker threads execute them on the owning shards.  This is the workload
-// behind bench_runtime_scaling (sweep `workers`, watch requests/sec) and
-// the per-request denominator of bench_telemetry_overhead.
-struct RuntimeBenchResult {
-  MicroBenchResult total;
-  MetricsSnapshot metrics;       // per-shard counters + latency histogram
-  // Canonical (recompact-then-fingerprint) final control state: identical
-  // across worker counts, so it doubles as the determinism oracle.
-  std::uint64_t fingerprint = 0;
-};
-RuntimeBenchResult bench_runtime_pipeline(const WireWorkloadConfig& config);
 
 }  // namespace softcell

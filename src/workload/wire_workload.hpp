@@ -1,8 +1,8 @@
 // The wire-mode Cbench workload, shared by every consumer.
 //
 // One config describes the whole experiment: the server process
-// (softcell-serverd), the external load generator (bench_wire_cbench /
-// the tier1 smoke), and the in-process reference run all derive their
+// (softcell-serverd), the external load generator (run_wire_load, driven
+// by the `net` tests), and the in-process reference run all derive their
 // topology, policy, subscriber base and request streams from the same
 // WireWorkloadConfig with the same seed.  That determinism is what makes
 // the acceptance check meaningful: the wire run and the in-process run

@@ -8,18 +8,29 @@
 // reading while replies accumulate (bounded outbound buffer, drop and
 // count, connection survives).  Plus the acceptance property: a wire run
 // of the deterministic cbench workload lands on the exact controller
-// fingerprint the in-process reference run produces.
+// fingerprint the in-process reference run produces -- against an
+// in-process server and against softcell-serverd as a separate process.
 #include "net/server.hpp"
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <spawn.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -558,6 +569,128 @@ TEST(NetServer, MixedWireRunMatchesInProcessAtEveryWorkerCount) {
     EXPECT_EQ(result.server.fingerprint, reference);
     EXPECT_TRUE(h.server().drain(5000ms));
   }
+}
+
+// softcell-serverd as a child process.  The destructor SIGKILLs and reaps
+// it unless stop() already reaped it, so no failure path of a test leaves
+// the daemon running.
+class ServerdProcess {
+ public:
+  explicit ServerdProcess(const std::string& port_file) {
+    std::vector<std::string> args{SOFTCELL_SERVERD_PATH, "--port", "0",
+                                  "--port-file", port_file};
+    std::vector<char*> argv;
+    for (auto& a : args) argv.push_back(a.data());
+    argv.push_back(nullptr);
+    if (posix_spawn(&pid_, argv[0], nullptr, nullptr, argv.data(),
+                    environ) != 0)
+      pid_ = -1;
+  }
+  ~ServerdProcess() {
+    if (pid_ <= 0) return;
+    kill(pid_, SIGKILL);
+    waitpid(pid_, nullptr, 0);
+  }
+  ServerdProcess(const ServerdProcess&) = delete;
+  ServerdProcess& operator=(const ServerdProcess&) = delete;
+
+  [[nodiscard]] bool running() const { return pid_ > 0; }
+
+  // Polls until the port file holds a complete line (serverd writes it
+  // once it listens); nullopt if serverd exits first or time runs out.
+  std::optional<std::uint16_t> wait_for_port(const std::string& port_file,
+                                             std::chrono::milliseconds timeout) {
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    while (std::chrono::steady_clock::now() < deadline && !reaped()) {
+      std::ifstream in(port_file);
+      const std::string text{std::istreambuf_iterator<char>(in), {}};
+      if (!text.empty() && text.back() == '\n')
+        return static_cast<std::uint16_t>(std::stoul(text));
+      std::this_thread::sleep_for(10ms);
+    }
+    return std::nullopt;
+  }
+
+  // SIGTERM, then waits for the exit; returns the waitpid status, or
+  // nullopt if serverd is still running at the deadline.
+  std::optional<int> stop(std::chrono::milliseconds timeout) {
+    if (pid_ <= 0) return status_;
+    kill(pid_, SIGTERM);
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    while (!reaped()) {
+      if (std::chrono::steady_clock::now() >= deadline) return std::nullopt;
+      std::this_thread::sleep_for(10ms);
+    }
+    return status_;
+  }
+
+ private:
+  bool reaped() {
+    if (pid_ <= 0) return true;
+    int status = 0;
+    if (waitpid(pid_, &status, WNOHANG) != pid_) return false;
+    pid_ = -1;
+    status_ = status;
+    return true;
+  }
+
+  pid_t pid_ = -1;
+  std::optional<int> status_;
+};
+
+// A fresh directory under the test temp dir, removed with its contents.
+class ScratchDir {
+ public:
+  ScratchDir() {
+    std::string templ = testing::TempDir() + "softcell_serverd_XXXXXX";
+    if (mkdtemp(templ.data()) != nullptr) path_ = templ;
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    if (!path_.empty()) std::filesystem::remove_all(path_, ec);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+// The parity property across a real process boundary: softcell-serverd,
+// started with its default provisioning (the WireWorkloadConfig defaults),
+// serves the workload over loopback TCP and lands on the in-process
+// reference fingerprint; SIGTERM then drains it to exit status 0.
+TEST(Serverd, SeparateProcessMatchesInProcessThenExitsZeroOnSigterm) {
+  WireWorkloadConfig config;
+  config.requests_per_conn = 300;
+  const CellularTopology topo = config.make_topology();
+  const std::uint64_t reference = run_wire_workload_inprocess(topo, config);
+  std::vector<ClauseId> clauses;
+  (void)make_wire_policy(topo, config.num_clauses, &clauses);
+
+  ScratchDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const std::string port_file = dir.path() + "/serverd.port";
+  ServerdProcess serverd(port_file);
+  ASSERT_TRUE(serverd.running()) << "cannot spawn " << SOFTCELL_SERVERD_PATH;
+  const auto port = serverd.wait_for_port(port_file, 30'000ms);
+  ASSERT_TRUE(port.has_value()) << "serverd never published its port";
+
+  const WireLoadResult result =
+      run_wire_load(*port, topo.num_base_stations(), clauses, config);
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.received,
+            static_cast<std::uint64_t>(config.connections) *
+                config.requests_per_conn);
+  EXPECT_EQ(result.failed, 0u);
+  EXPECT_EQ(result.server.fingerprint, reference);
+
+  const auto status = serverd.stop(30'000ms);
+  ASSERT_TRUE(status.has_value()) << "serverd did not exit after SIGTERM";
+  ASSERT_TRUE(WIFEXITED(*status)) << "serverd killed by a signal";
+  EXPECT_EQ(WEXITSTATUS(*status), 0);
 }
 
 // The serving stats surface in the global telemetry registry next to the
