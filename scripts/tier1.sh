@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verify (ROADMAP.md), multi-stage:
 #   1. configure + build + full test suite (the tier-1 gate proper)
+#   1b. perfbench build -- configures and builds the serving benchmark's own
+#      CMake project (perfbench/), so a library change that breaks the
+#      benchmark's build fails here, on every run, not only under --perf
 #   2. static   -- softcell-lint over src/, the linter's own fixture tests,
 #                  softcell-analyze (AST-grounded lifetime + lock-order
 #                  checkers, DESIGN.md section 17) with its fixture/unit
@@ -90,6 +93,9 @@ if [[ "$STATIC_ONLY" == 0 ]]; then
   run_stage "configure"        cmake -B build -S .
   run_stage "build"            cmake --build build -j
   run_stage "tests (full)"     bash -c 'cd build && ctest --output-on-failure -j'
+  run_stage "perfbench (build)" bash -c \
+    'cmake -S perfbench -B build-perfbench &&
+     cmake --build build-perfbench -j --target perfbench'
 fi
 
 # --- static stage (softcell-verify) -----------------------------------------

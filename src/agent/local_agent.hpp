@@ -85,8 +85,8 @@ class LocalAgent {
   void update_classifier_tag(ClauseId clause, PolicyTag tag);
 
   // Reroutes the cache-miss controller round-trip (e.g. through the
-  // ControlPlaneRuntime pipeline, which coalesces duplicate misses and
-  // records latency).  Unset: the agent calls its controller directly.
+  // ControlPlaneRuntime pipeline, which runs it on the UE's shard worker
+  // and records latency).  Unset: the agent calls its controller directly.
   using PathRequester =
       std::function<PolicyTag(UeId ue, std::uint32_t bs, ClauseId clause)>;
   void set_path_requester(PathRequester requester) {

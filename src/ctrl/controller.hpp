@@ -233,9 +233,8 @@ class Controller : public ControlPlane {
   // Order-insensitive hash of the externally observable control-plane
   // state (installed paths and their tags, engine table sizes, store
   // versions, attached UEs).  Two controllers that processed the same
-  // per-shard request sequence -- regardless of worker count or
-  // duplicate-miss coalescing -- hash identically; the runtime stress
-  // tests assert exactly that.
+  // per-shard request sequence -- regardless of worker count -- hash
+  // identically; the runtime stress tests assert exactly that.
   //
   // The fold-in parameters exist for the shard-brain partition (DESIGN.md
   // section 16): there the per-UE store writes and attachments live on the

@@ -52,13 +52,8 @@ void RuntimeDispatcher::dispatch(
     const ofp::PacketInMsg& msg,
     std::function<void(ofp::PacketInReply&&)> done, bool inline_if_idle) {
   Request request = to_request(msg);
-  const std::uint32_t xid = msg.xid;
-  const auto kind = msg.kind;
-  // `on_done` stays alive across post() so the shutdown-refusal path can
-  // still answer (post takes the Request by value; a failed post leaves
-  // the moved-from copy unusable).
-  auto on_done = std::move(done);
-  request.done = [xid, kind, on_done](Response&& response) {
+  request.done = [xid = msg.xid, kind = msg.kind,
+                  done = std::move(done)](Response&& response) {
     ofp::PacketInReply reply;
     reply.xid = xid;
     reply.kind = kind;
@@ -70,17 +65,11 @@ void RuntimeDispatcher::dispatch(
           static_cast<std::uint32_t>(response.classifiers.size());
       reply.digest = classifier_digest(response.classifiers);
     }
-    on_done(std::move(reply));
+    done(std::move(reply));
   };
   if (inline_if_idle && runtime_.run_inline_if_idle(request)) return;
-  if (!runtime_.post(std::move(request))) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    ofp::PacketInReply reply;
-    reply.xid = xid;
-    reply.kind = kind;
-    reply.ok = false;
-    on_done(std::move(reply));
-  }
+  // A refused post (runtime shutting down) has already answered ok=false.
+  runtime_.post(std::move(request));
 }
 
 std::uint64_t RuntimeDispatcher::fingerprint() {

@@ -10,7 +10,6 @@
 // (the fingerprint-parity check in tests/test_net.cpp rests on this).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -81,16 +80,9 @@ class RuntimeDispatcher final : public Dispatcher {
   [[nodiscard]] std::uint64_t fingerprint() override;
   void drain() override { runtime_.drain(); }
 
-  // Requests post() refused (runtime shutting down); the reply still fires
-  // with ok=false so no caller hangs.
-  [[nodiscard]] std::uint64_t rejected() const {
-    return rejected_.load(std::memory_order_relaxed);
-  }
-
  private:
   ControlPlaneRuntime& runtime_;
   ControlBrain& brain_;
-  std::atomic<std::uint64_t> rejected_{0};
 };
 
 }  // namespace softcell::net

@@ -18,11 +18,11 @@
 
 namespace softcell {
 
-// Bounded multi-producer/multi-consumer FIFO queue.  Blocking push/pop with
-// condvar wakeups; try_* variants never block.  close() releases all
-// waiters: pending pushes fail, pops drain the remaining items and then
-// fail.  All operations are thread-safe; `mu_` is the queue's capability
-// and guards the item deque and the closed flag.
+// Bounded multi-producer/multi-consumer FIFO queue.  Blocking push and
+// batch pop with condvar wakeups.  close() releases all waiters: pending
+// pushes fail, pop_all drains the remaining items and then fails.  All
+// operations are thread-safe; `mu_` is the queue's capability and guards
+// the item deque and the closed flag.
 template <typename T>
 class BoundedMpmcQueue {
  public:
@@ -32,8 +32,9 @@ class BoundedMpmcQueue {
   }
 
   // Blocks while the queue is full (backpressure).  Returns false if the
-  // queue was closed before the item could be enqueued.
-  bool push(T item) SC_EXCLUDES(mu_) {
+  // queue was closed before the item could be enqueued; `item` is moved
+  // from only on success, so a refused caller still holds it.
+  bool push(T&& item) SC_EXCLUDES(mu_) {
     sc::UniqueLock lock(mu_);
     not_full_.wait(lock, [&]() SC_REQUIRES(mu_) {
       return closed_ || items_.size() < capacity_;
@@ -42,32 +43,6 @@ class BoundedMpmcQueue {
     items_.push_back(std::move(item));
     lock.unlock();
     not_empty_.notify_one();
-    return true;
-  }
-
-  // Never blocks.  Returns false when full or closed.
-  bool try_push(T item) SC_EXCLUDES(mu_) {
-    {
-      sc::LockGuard lock(mu_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
-  // Blocks while the queue is empty.  Returns false once the queue is
-  // closed *and* drained.
-  bool pop(T& out) SC_EXCLUDES(mu_) {
-    sc::UniqueLock lock(mu_);
-    not_empty_.wait(lock, [&]() SC_REQUIRES(mu_) {
-      return closed_ || !items_.empty();
-    });
-    if (items_.empty()) return false;  // closed and drained
-    out = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
     return true;
   }
 
@@ -84,18 +59,6 @@ class BoundedMpmcQueue {
       out.swap(items_);
     }
     not_full_.notify_all();
-    return true;
-  }
-
-  // Never blocks.  Returns false when currently empty.
-  bool try_pop(T& out) SC_EXCLUDES(mu_) {
-    {
-      sc::LockGuard lock(mu_);
-      if (items_.empty()) return false;
-      out = std::move(items_.front());
-      items_.pop_front();
-    }
-    not_full_.notify_one();
     return true;
   }
 

@@ -7,23 +7,10 @@
 #include "telemetry/trace.hpp"
 
 namespace softcell {
-namespace {
-
-Response shut_down_response() {
-  Response r;
-  r.ok = false;
-  r.error = "control-plane runtime is shut down";
-  return r;
-}
-
-}  // namespace
 
 ControlPlaneRuntime::ControlPlaneRuntime(ControlBrain& controller,
                                          RuntimeOptions options)
     : controller_(controller), load_(std::max(1u, options.workers)) {
-  pending_.reserve(controller_.shard_count());
-  for (std::size_t i = 0; i < controller_.shard_count(); ++i)
-    pending_.push_back(std::make_unique<ShardPending>());
   pool_ = std::make_unique<ThreadPool<Job>>(
       ThreadPoolOptions{.workers = options.workers,
                         .queue_capacity = options.queue_capacity,
@@ -50,34 +37,18 @@ bool ControlPlaneRuntime::post(Request request) {
   if (request.trace_id == 0)
     request.trace_id = telemetry::current_trace_id();
 
-  const bool path = request.kind == RequestKind::kPolicyPath;
-  const auto key = path_key(request.bs, request.clause);
-  if (path) {
-    ShardPending& pending = *pending_[shard];
-    sc::LockGuard lock(pending.mu);
-    if (const auto it = pending.waiting.find(key);
-        it != pending.waiting.end()) {
-      // An install for this (bs, clause) is already in flight on this
-      // shard: attach instead of enqueueing a duplicate.  The worker will
-      // answer us with the same tag it answers the primary request.
-      it->second.push_back(Waiter{std::move(request.done), submitted});
-      in_flight_.fetch_add(1, std::memory_order_acq_rel);
-      controller_.metrics(shard).count_coalesced();
-      return true;
-    }
-    pending.waiting.emplace(key, std::vector<Waiter>{});
-  }
-
   in_flight_.fetch_add(1, std::memory_order_acq_rel);
   const unsigned worker = worker_of(shard);
   ++load_[worker].jobs;
-  if (pool_->submit_to(worker, Job{std::move(request), shard, submitted}))
-    return true;
-  // Rejected (shutting down): retire the in-flight marker, answering any
-  // duplicate that attached to it meanwhile.
+  Job job{std::move(request), shard, submitted};
+  if (pool_->submit_to(worker, std::move(job))) return true;
+  // Refused (shutting down): the job is still ours, and it leaves through
+  // the same exit as an executed one.
   --load_[worker].jobs;
-  if (path) answer_waiters(shard, key, shut_down_response());
-  complete_one();
+  Response refused;
+  refused.ok = false;
+  refused.error = "control-plane runtime is shut down";
+  finish(job, std::move(refused));
   return false;
 }
 
@@ -97,33 +68,15 @@ bool ControlPlaneRuntime::run_inline_if_idle(Request& request) {
   return true;
 }
 
-void ControlPlaneRuntime::finish(std::size_t shard,
-                                 Clock::time_point submitted,
-                                 std::function<void(Response&&)>& done,
-                                 Response&& response) {
+void ControlPlaneRuntime::finish(Job& job, Response&& response) {
   const auto nanos = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         Clock::now() - submitted)
+                         Clock::now() - job.submitted)
                          .count();
-  auto& metrics = controller_.metrics(shard);
+  auto& metrics = controller_.metrics(job.shard);
   metrics.record_latency(static_cast<std::uint64_t>(nanos));
   if (!response.ok) metrics.count_error();
-  if (done) done(std::move(response));
+  if (job.request.done) job.request.done(std::move(response));
   complete_one();
-}
-
-void ControlPlaneRuntime::answer_waiters(std::size_t shard, std::uint64_t key,
-                                         const Response& response) {
-  std::vector<Waiter> waiters;
-  {
-    ShardPending& pending = *pending_[shard];
-    sc::LockGuard lock(pending.mu);
-    const auto it = pending.waiting.find(key);
-    if (it == pending.waiting.end()) return;
-    waiters = std::move(it->second);
-    pending.waiting.erase(it);
-  }
-  for (auto& waiter : waiters)
-    finish(shard, waiter.submitted, waiter.done, Response(response));
 }
 
 void ControlPlaneRuntime::complete_one() {
@@ -151,12 +104,7 @@ void ControlPlaneRuntime::execute(Job& job) {
     response.ok = false;
     response.error = e.what();
   }
-
-  // Answer the waiters that coalesced onto this install with the same
-  // outcome.
-  if (r.kind == RequestKind::kPolicyPath)
-    answer_waiters(job.shard, path_key(r.bs, r.clause), response);
-  finish(job.shard, job.submitted, r.done, std::move(response));
+  finish(job, std::move(response));
 }
 
 Response ControlPlaneRuntime::call(Request request) {
@@ -173,7 +121,7 @@ Response ControlPlaneRuntime::call(Request request) {
     state->ready = true;
     state->cv.notify_one();
   };
-  if (!post(std::move(request))) return shut_down_response();
+  post(std::move(request));  // a refused post has already answered
   sc::UniqueLock lock(state->mu);
   state->cv.wait(lock, [&]() SC_REQUIRES(state->mu) { return state->ready; });
   return std::move(state->response);

@@ -3,10 +3,11 @@
 // Wiring (one box per concept; see DESIGN.md "Concurrency model"):
 //
 //   post(Request) --shard_of(ue)--> worker(shard % W) bounded queue
-//        |                              |
-//        |  duplicate (bs, clause)      v  (batch drain)
-//        +--> coalescer (attach to   worker executes on the owning shard,
-//             the in-flight install)  records latency, fires completions
+//                                       |
+//                                       v  (batch drain)
+//                                   worker executes on the owning shard,
+//                                   then finish(): latency, errors,
+//                                   completion
 //
 // Guarantees:
 //   * shard affinity -- every posted request for a UE executes on the one
@@ -22,27 +23,28 @@
 //     fetch keeps it: the idle check means every request its caller posted
 //     earlier to that worker has completed, so the fetch reads their
 //     writes;
-//   * duplicate-miss coalescing -- concurrent flow misses for the same
-//     (bs, clause) while an install is in flight attach to that install
-//     instead of enqueueing their own, from whichever thread they are
-//     posted; one path is installed, every caller gets the same tag
-//     (Table 2's miss storm collapses to one install);
+//   * one install per (bs, clause) -- duplicate flow misses need no
+//     runtime step: they queue behind the first on the same worker, the
+//     core installs each (bs, clause) exactly once, and the duplicates get
+//     its tag from the warm-hit path, so every caller sees the same tag;
+//   * one exit -- every request the runtime executes or refuses completes
+//     exactly once through finish(): latency and error counted, `done`
+//     fired, in-flight count retired.  A post refused during shutdown
+//     gets ok=false there, and post() returns false;
 //   * backpressure -- bounded queues throttle the poster instead of
 //     growing the backlog without bound.
 //
-// Completions run on the worker thread (or, for an inline fetch, on the
-// caller's); keep them cheap and never call back into the runtime's
-// blocking API from one (call()/drain() from a completion would
-// self-deadlock the worker).
+// Completions run on the worker thread (or, for an inline fetch or a
+// refused post, on the caller's); keep them cheap and never call back
+// into the runtime's blocking API from one (call()/drain() from a
+// completion would self-deadlock the worker).
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "runtime/control_brain.hpp"
@@ -74,7 +76,7 @@ struct Request {
   // both sides of the queue stitch into one chain.  Present even in
   // SOFTCELL_TELEMETRY=OFF builds to keep the struct layout stable.
   std::uint64_t trace_id = 0;
-  // Optional completion; runs on the worker thread.
+  // Optional completion; runs on the worker thread (see the header note).
   std::function<void(Response&&)> done;
 };
 
@@ -100,7 +102,8 @@ class ControlPlaneRuntime {
   void start();
 
   // Asynchronous submission.  Blocks only under backpressure (bounded
-  // queues); returns false if the runtime is shutting down.
+  // queues).  Returns false if the runtime is shutting down; the refused
+  // request's completion has then already fired with ok=false.
   bool post(Request request);
 
   // Run-to-completion for a classifier fetch: when `request` is a fetch
@@ -119,12 +122,10 @@ class ControlPlaneRuntime {
   // Waits until every posted request has completed.
   void drain();
 
-  [[nodiscard]] unsigned worker_count() const { return pool_->worker_count(); }
   [[nodiscard]] unsigned worker_of(std::size_t shard) const {
     return static_cast<unsigned>(shard % pool_->worker_count());
   }
-  [[nodiscard]] ControlBrain& controller() { return controller_; }
-  // Aggregated shard metrics (counts, coalescing, latency percentiles).
+  // Aggregated shard metrics (counts, latency percentiles).
   [[nodiscard]] MetricsSnapshot metrics() const {
     return controller_.aggregate_metrics();
   }
@@ -138,29 +139,10 @@ class ControlPlaneRuntime {
     Clock::time_point submitted{};
   };
 
-  struct Waiter {
-    std::function<void(Response&&)> done;
-    Clock::time_point submitted{};
-  };
-
-  // In-flight path installs, per shard: (bs, clause) -> attached waiters.
-  // Each shard's map has its own capability; shards never contend.
-  struct ShardPending {
-    sc::Mutex mu;
-    std::unordered_map<std::uint64_t, std::vector<Waiter>> waiting
-        SC_GUARDED_BY(mu);
-  };
-  static std::uint64_t path_key(std::uint32_t bs, ClauseId clause) {
-    return (static_cast<std::uint64_t>(clause.value()) << 32) | bs;
-  }
-
   void execute(Job& job);
-  void finish(std::size_t shard, Clock::time_point submitted,
-              std::function<void(Response&&)>& done, Response&& response);
-  // Detaches the waiters coalesced onto the install of `key` and answers
-  // each with `response`.
-  void answer_waiters(std::size_t shard, std::uint64_t key,
-                      const Response& response);
+  // The one exit: records the job's latency (and error), fires its
+  // completion and retires its in-flight count.
+  void finish(Job& job, Response&& response);
   void complete_one();
 
   // Jobs queued on or running in one worker: post() adds one, and the
@@ -171,7 +153,6 @@ class ControlPlaneRuntime {
   };
 
   ControlBrain& controller_;
-  std::vector<std::unique_ptr<ShardPending>> pending_;
   std::vector<WorkerLoad> load_;
   std::unique_ptr<ThreadPool<Job>> pool_;
   std::atomic<std::uint64_t> in_flight_{0};

@@ -98,8 +98,9 @@ class ThreadPool {
 
   // Submits to a specific worker.  FIFO relative to other submit_to calls
   // from this same thread to this same worker.  Blocks while the worker's
-  // queue is full; returns false if the pool is stopping.
-  bool submit_to(unsigned worker, Task task) {
+  // queue is full; returns false if the pool is stopping, leaving `task`
+  // with the caller.
+  bool submit_to(unsigned worker, Task&& task) {
     return workers_[worker % workers_.size()]->queue.push(std::move(task));
   }
 

@@ -40,7 +40,7 @@ struct SoftCellConfig {
   // > 0: route classifier-fetch and policy-path requests through a
   // ControlPlaneRuntime with this many workers (src/runtime/) instead of
   // calling the controller inline -- the sim exercises the same pipeline
-  // the scaling bench measures (coalescing, metrics, shard affinity).
+  // serverd serves through (shard affinity, per-shard FIFO, metrics).
   // 0 (default): inline calls, byte-for-byte the pre-runtime behaviour.
   unsigned runtime_workers = 0;
   // Shard count of the partitioned brain (runtime/shard_brain.hpp).

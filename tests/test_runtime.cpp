@@ -12,6 +12,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -32,55 +33,58 @@ namespace {
 
 TEST(BoundedMpmcQueue, FifoOrderAndBounds) {
   BoundedMpmcQueue<int> q(4);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.try_push(i));
-  EXPECT_FALSE(q.try_push(99));  // full: backpressure, not growth
-  int v = -1;
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(q.try_pop(v));
-    EXPECT_EQ(v, i);
-  }
-  EXPECT_FALSE(q.try_pop(v));
-
-  // pop_all hands over the whole backlog, still in FIFO order.
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.try_push(10 + i));
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.push(int{i}));
+  // pop_all hands over the whole backlog in FIFO order...
   std::deque<int> batch;
   ASSERT_TRUE(q.pop_all(batch));
+  EXPECT_EQ(batch, (std::deque<int>{0, 1, 2, 3}));
+  // ...and frees every slot: a second full round fits without blocking.
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.push(10 + i));
+  batch.clear();
+  ASSERT_TRUE(q.pop_all(batch));
   EXPECT_EQ(batch, (std::deque<int>{10, 11, 12, 13}));
-  EXPECT_FALSE(q.try_pop(v));
-  EXPECT_TRUE(q.try_push(99));  // the batch freed every slot
 }
 
 TEST(BoundedMpmcQueue, BlockingPushWaitsForSpace) {
   BoundedMpmcQueue<int> q(2);
-  std::vector<int> got;
-  std::thread consumer([&] {
-    int v;
+  std::atomic<int> pushed{0};
+  std::thread producer([&] {
     for (int i = 0; i < 5; ++i) {
-      ASSERT_TRUE(q.pop(v));
-      got.push_back(v);
+      EXPECT_TRUE(q.push(int{i}));
+      pushed.fetch_add(1);
     }
   });
-  // Three of these pushes must block until the consumer frees a slot.
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.push(i));
-  consumer.join();
+  // Two pushes fill the queue; the third must block until a batch frees a
+  // slot (backpressure, not growth).
+  while (pushed.load() < 2) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(pushed.load(), 2);
+  std::vector<int> got;
+  std::deque<int> batch;
+  while (got.size() < 5 && q.pop_all(batch)) {
+    EXPECT_LE(batch.size(), 2u);  // never more queued than the bound
+    got.insert(got.end(), batch.begin(), batch.end());
+    batch.clear();
+  }
+  producer.join();
   EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4}));
 
-  // The same with a pop_all consumer: it blocks while the queue is empty,
-  // and each batch it takes frees the slots the blocked producer waits on.
+  // pop_all blocks while the queue is empty, and each batch it takes frees
+  // the slots the blocked producer waits on.
   constexpr int kItems = 1000;
   std::atomic<bool> took_batch{false};
   got.clear();
   std::thread batcher([&] {
-    std::deque<int> batch;
-    while (got.size() < kItems && q.pop_all(batch)) {
+    std::deque<int> items;
+    while (got.size() < kItems && q.pop_all(items)) {
       took_batch.store(true);
-      got.insert(got.end(), batch.begin(), batch.end());
-      batch.clear();
+      got.insert(got.end(), items.begin(), items.end());
+      items.clear();
     }
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(took_batch.load());  // nothing queued yet: still blocked
-  for (int i = 0; i < kItems; ++i) EXPECT_TRUE(q.push(i));
+  for (int i = 0; i < kItems; ++i) EXPECT_TRUE(q.push(int{i}));
   batcher.join();
   ASSERT_EQ(got.size(), static_cast<std::size_t>(kItems));
   for (int i = 0; i < kItems; ++i) EXPECT_EQ(got[i], i);
@@ -92,25 +96,20 @@ TEST(BoundedMpmcQueue, CloseDrainsThenFails) {
   EXPECT_TRUE(q.push(2));
   q.close();
   EXPECT_FALSE(q.push(3));
-  int v = 0;
-  EXPECT_TRUE(q.pop(v));
-  EXPECT_EQ(v, 1);
-  EXPECT_TRUE(q.pop(v));
-  EXPECT_EQ(v, 2);
-  EXPECT_FALSE(q.pop(v));  // closed and drained
-
-  // pop_all: the same contract, one batch at a time.
-  BoundedMpmcQueue<int> r(8);
-  EXPECT_TRUE(r.push(1));
-  EXPECT_TRUE(r.push(2));
-  r.close();
-  EXPECT_FALSE(r.push(3));
   std::deque<int> batch;
-  ASSERT_TRUE(r.pop_all(batch));
+  ASSERT_TRUE(q.pop_all(batch));
   EXPECT_EQ(batch, (std::deque<int>{1, 2}));
   batch.clear();
-  EXPECT_FALSE(r.pop_all(batch));  // closed and drained: no block
+  EXPECT_FALSE(q.pop_all(batch));  // closed and drained: no block
   EXPECT_TRUE(batch.empty());
+
+  // A refused push does not move from its item: the caller still owns it.
+  BoundedMpmcQueue<std::unique_ptr<int>> owned(1);
+  owned.close();
+  auto item = std::make_unique<int>(3);
+  EXPECT_FALSE(owned.push(std::move(item)));
+  ASSERT_NE(item, nullptr);
+  EXPECT_EQ(*item, 3);
 }
 
 // --- thread pool -------------------------------------------------------------
@@ -129,7 +128,7 @@ TEST(ThreadSafety, StopRacingStartRunsEveryTaskExactlyOnce) {
     std::atomic<int> runs{0};
     ThreadPool<int> pool({.workers = 2, .start_suspended = true},
                          [&](unsigned, int&) { runs.fetch_add(1); });
-    for (int i = 0; i < 64; ++i) ASSERT_TRUE(pool.submit_to(i % 2, i));
+    for (int i = 0; i < 64; ++i) ASSERT_TRUE(pool.submit_to(i % 2, int{i}));
     std::thread starter([&] { pool.start(); });
     std::thread stopper([&] { pool.stop(); });
     starter.join();
@@ -144,7 +143,7 @@ TEST(ThreadPool, SingleProducerFifoWithBackpressure) {
   std::vector<int> seen;
   ThreadPool<int> pool({.workers = 1, .queue_capacity = 8},
                        [&](unsigned, int& v) { seen.push_back(v); });
-  for (int i = 0; i < 1000; ++i) EXPECT_TRUE(pool.submit_to(0, i));
+  for (int i = 0; i < 1000; ++i) EXPECT_TRUE(pool.submit_to(0, int{i}));
   pool.stop();  // runs every accepted task, then joins
   ASSERT_EQ(seen.size(), 1000u);
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(seen[i], i);
@@ -180,7 +179,7 @@ TEST(ThreadPool, SuspendedPoolRunsAcceptedTasksOnStop) {
   {
     ThreadPool<int> pool({.workers = 1, .start_suspended = true},
                          [&](unsigned, int& v) { seen.push_back(v); });
-    for (int i = 0; i < 10; ++i) EXPECT_TRUE(pool.submit_to(0, i));
+    for (int i = 0; i < 10; ++i) EXPECT_TRUE(pool.submit_to(0, int{i}));
     EXPECT_TRUE(seen.empty());  // nothing runs before start()/stop()
   }
   EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
@@ -251,13 +250,11 @@ TEST(Metrics, HistogramQuantilesAndAggregation) {
   for (int i = 0; i < 10; ++i) b.record_latency(1'000'000);
   a.count_request();
   b.count_request();
-  b.count_coalesced();
 
   MetricsSnapshot snap;
   a.merge_into(snap);
   b.merge_into(snap);
   EXPECT_EQ(snap.requests, 2u);
-  EXPECT_EQ(snap.coalesced_misses, 1u);
   EXPECT_EQ(snap.latency_count(), 100u);
   // Quantiles report the log-linear bucket's upper bound; 1000 and 1e6
   // both sit in the last sub-bucket of their octave, so the bounds land
@@ -355,13 +352,17 @@ TEST(Runtime, ShardAffinityEachShardOneWorker) {
   EXPECT_EQ(worker_thread.size(), 2u);
 }
 
-TEST(Runtime, DuplicateMissesCoalesceToOneInstall) {
+// "One install, same tag for every caller" needs no runtime step: the
+// duplicates queue behind the first miss on the shard's worker, the core
+// installs the (bs, clause) once, and each later duplicate gets the
+// installed tag from the warm-hit path.  Counted at the core.
+TEST(Runtime, DuplicateMissesInstallOnce) {
   CellularTopology topo({.k = 4, .seed = 1});
   std::vector<ClauseId> clauses;
   ShardBrain brain(topo, make_wire_policy(topo, 2, &clauses), {.shards = 2});
+  const auto installs_before = brain.core().path_installs();
 
-  // Suspended pool: the whole burst is posted before anything executes, so
-  // the coalescing decision is deterministic.
+  // Suspended pool: the whole burst is queued before anything executes.
   ControlPlaneRuntime runtime(brain, {.workers = 1, .start_suspended = true});
   std::mutex mu;
   std::vector<PolicyTag> tags;
@@ -384,28 +385,28 @@ TEST(Runtime, DuplicateMissesCoalesceToOneInstall) {
 
   ASSERT_EQ(tags.size(), static_cast<std::size_t>(kBurst));
   for (const auto t : tags) EXPECT_EQ(t, tags.front());  // one shared tag
+  EXPECT_EQ(brain.core().path_installs() - installs_before, 1u);
   const auto m = runtime.metrics();
-  EXPECT_EQ(m.path_requests, 1u);  // one install executed...
-  EXPECT_EQ(m.coalesced_misses, static_cast<std::uint64_t>(kBurst - 1));
+  EXPECT_EQ(m.path_requests, static_cast<std::uint64_t>(kBurst));
   EXPECT_EQ(m.latency_count(), static_cast<std::uint64_t>(kBurst));
 }
 
-TEST(Runtime, SecondProducerLosesNothingAndStillCoalesces) {
-  // Two threads post into the same suspended worker.  Every completion
-  // must fire, and duplicate path misses posted from the second thread
-  // must coalesce onto the install the first thread queued, without
-  // touching the queue at all.
+TEST(Runtime, SecondProducerLosesNothing) {
+  // Two threads post into the same suspended worker: every completion
+  // must fire, and the duplicate path misses of both threads still make
+  // one install.
   CellularTopology topo({.k = 4, .seed = 1});
   std::vector<ClauseId> clauses;
   // One shard: every request targets worker 0's queue.
   ShardBrain brain(topo, make_wire_policy(topo, 2, &clauses), {.shards = 1});
   populate(brain, 8, 2, topo.num_base_stations());
+  const auto installs_before = brain.core().path_installs();
 
-  // Room for exactly the 12 queued requests (1 install + 11 fetches): the
-  // 4 coalesced duplicates never take a slot, or the suspended pool would
-  // block the second producer.
+  // Room for all 16 requests (5 path misses + 11 fetches): duplicates take
+  // queue slots too, and the suspended pool would block a producer that
+  // found the queue full.
   ControlPlaneRuntime runtime(brain, {.workers = 1,
-                                     .queue_capacity = 12,
+                                     .queue_capacity = 16,
                                      .start_suspended = true});
   std::mutex mu;
   std::vector<PolicyTag> tags;
@@ -438,8 +439,7 @@ TEST(Runtime, SecondProducerLosesNothingAndStillCoalesces) {
   // First producer: one path miss + six classifier fetches.
   post_path();
   for (std::uint32_t i = 0; i < 6; ++i) post_classifiers(i);
-  // Second producer: four duplicate misses coalesce onto the in-flight
-  // install (no enqueue), five classifier fetches join the queue.
+  // Second producer: four duplicate misses and five classifier fetches.
   std::thread other([&] {
     for (int d = 0; d < 4; ++d) post_path();
     for (std::uint32_t i = 6; i < 11; ++i) post_classifiers(i);
@@ -450,12 +450,107 @@ TEST(Runtime, SecondProducerLosesNothingAndStillCoalesces) {
   runtime.drain();
 
   EXPECT_EQ(classifier_done.load(), 11);
-  ASSERT_EQ(tags.size(), 5u);  // primary + 4 coalesced, none lost
+  ASSERT_EQ(tags.size(), 5u);  // every path completion fired, none lost
   for (const auto t : tags) EXPECT_EQ(t, tags.front());
+  EXPECT_EQ(brain.core().path_installs() - installs_before, 1u);
   const auto m = runtime.metrics();
-  EXPECT_EQ(m.path_requests, 1u);
-  EXPECT_EQ(m.coalesced_misses, 4u);
+  EXPECT_EQ(m.path_requests, 5u);
   EXPECT_EQ(m.latency_count(), 16u);  // 11 fetches + 5 path completions
+}
+
+// A Table-2-style miss storm across shards: many UEs on every shard miss
+// on a few (bs, clause) keys at once, so the two workers race each key at
+// the core.  Every caller of a key must get the same tag, and the core
+// must make exactly one install per distinct key.
+TEST(Runtime, MultiShardMissStormInstallsEachKeyOnce) {
+  constexpr std::uint32_t kUes = 64;
+  constexpr std::uint32_t kBs = 3;
+  CellularTopology topo({.k = 4, .seed = 1});
+  std::vector<ClauseId> clauses;
+  ShardBrain brain(topo, make_wire_policy(topo, 2, &clauses), {.shards = 8});
+  populate(brain, kUes, 2, topo.num_base_stations());
+  const auto installs_before = brain.core().path_installs();
+
+  ControlPlaneRuntime runtime(brain, {.workers = 2, .start_suspended = true});
+  std::mutex mu;
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::set<std::uint16_t>>
+      tags_by_key;
+  std::atomic<int> failed{0};
+  std::set<std::size_t> shards;
+  for (std::uint32_t i = 0; i < kUes; ++i) {
+    shards.insert(brain.shard_of(UeId(i + 1)));
+    for (std::uint32_t bs = 0; bs < kBs; ++bs) {
+      for (const ClauseId clause : clauses) {
+        Request r;
+        r.kind = RequestKind::kPolicyPath;
+        r.ue = UeId(i + 1);
+        r.bs = bs;
+        r.clause = clause;
+        r.done = [&, key = std::make_pair(bs, clause.value())](
+                     Response&& resp) {
+          if (!resp.ok) failed.fetch_add(1);
+          std::lock_guard lock(mu);
+          tags_by_key[key].insert(resp.tag.value());
+        };
+        ASSERT_TRUE(runtime.post(std::move(r)));
+      }
+    }
+  }
+  ASSERT_EQ(shards.size(), 8u);  // the storm reaches every shard
+  runtime.start();
+  runtime.drain();
+
+  EXPECT_EQ(failed.load(), 0);
+  ASSERT_EQ(tags_by_key.size(), kBs * clauses.size());
+  for (const auto& [key, tags] : tags_by_key)
+    EXPECT_EQ(tags.size(), 1u) << "bs " << key.first << " clause "
+                               << key.second;
+  EXPECT_EQ(brain.core().path_installs() - installs_before,
+            kBs * clauses.size());
+  EXPECT_EQ(runtime.metrics().path_requests, kUes * kBs * clauses.size());
+}
+
+// One exit: a post the pool refuses -- here, a follow-up posted by a
+// completion while the runtime's destructor drains a never-started pool
+// with its queues already closed -- completes through the same finish()
+// as an executed job: `done` fires once with ok=false and the error is
+// counted.
+TEST(Runtime, RefusedPostFiresCompletionOnce) {
+  CellularTopology topo({.k = 4, .seed = 1});
+  ShardBrain brain(topo, make_wire_policy(topo, 2, nullptr), {.shards = 1});
+  populate(brain, 8, 2, topo.num_base_stations());
+
+  std::atomic<int> follow_up_fired{0};
+  std::atomic<bool> follow_up_ok{true};
+  std::atomic<bool> follow_up_posted{true};
+  {
+    ControlPlaneRuntime runtime(brain,
+                                {.workers = 1, .start_suspended = true});
+    Request first;
+    first.kind = RequestKind::kFetchClassifiers;
+    first.ue = UeId(1);
+    first.bs = 0;
+    first.done = [&](Response&& resp) {
+      EXPECT_TRUE(resp.ok) << resp.error;
+      Request follow_up;
+      follow_up.kind = RequestKind::kFetchClassifiers;
+      follow_up.ue = UeId(2);
+      follow_up.bs = 1;
+      follow_up.done = [&](Response&& r) {
+        follow_up_ok.store(r.ok);
+        follow_up_fired.fetch_add(1);
+      };
+      follow_up_posted.store(runtime.post(std::move(follow_up)));
+    };
+    ASSERT_TRUE(runtime.post(std::move(first)));
+  }  // ~ControlPlaneRuntime closes the queues, then drains `first` inline
+
+  EXPECT_FALSE(follow_up_posted.load());
+  EXPECT_EQ(follow_up_fired.load(), 1);
+  EXPECT_FALSE(follow_up_ok.load());
+  const auto m = brain.aggregate_metrics();
+  EXPECT_EQ(m.errors, 1u);
+  EXPECT_EQ(m.latency_count(), 2u);  // both requests left through finish()
 }
 
 // The full-queue regression at the pipeline level: with a one-slot queue
